@@ -13,7 +13,6 @@
 pub mod decision_check;
 pub mod experiments;
 pub mod flame_check;
-pub mod json;
 pub mod profile_cmd;
 pub mod regressions;
 pub mod request_check;
@@ -23,6 +22,9 @@ pub mod session_check;
 pub mod table;
 pub mod trace_check;
 pub mod watch_replay;
+
+/// The dependency-free JSON parser, owned by the telemetry crate.
+pub use qoco_telemetry::json;
 
 pub use experiments::*;
 pub use table::Table;

@@ -10,7 +10,7 @@
 //! judged against `baseline × calibration × threshold`. A >25% slowdown of
 //! any cell beyond that scaled baseline fails the gate.
 
-use crate::json::Json;
+use crate::json::{push_json_str, Json};
 use crate::scaling::Sample;
 
 /// Relative slowdown tolerated per cell (1.25 = fail above +25%).
@@ -173,48 +173,32 @@ impl RegressionReport {
         // Build identity first, so `head -c` on a trajectory line already
         // says which binary produced it.
         let build = qoco_telemetry::build_info();
-        let mut line = format!(
-            "{{\"at_epoch_s\":{at_epoch_s},\"version\":\"{}\",\"git\":\"{}\",\"mode\":\"{mode}\",\"host_parallelism\":{host_parallelism},\"cells\":{},\"calibration\":{:.4},\"worst_ratio\":{:.4},\"pass\":{}",
-            escape_json(build.version),
-            escape_json(build.git),
+        let mut line = format!("{{\"at_epoch_s\":{at_epoch_s},\"version\":");
+        push_json_str(&mut line, build.version);
+        line.push_str(",\"git\":");
+        push_json_str(&mut line, build.git);
+        line.push_str(&format!(
+            ",\"mode\":\"{mode}\",\"host_parallelism\":{host_parallelism},\"cells\":{},\"calibration\":{:.4},\"worst_ratio\":{:.4},\"pass\":{}",
             self.cells.len(),
             self.calibration,
             self.worst_ratio(),
             self.pass()
-        );
+        ));
         if !attribution.is_empty() {
             line.push_str(",\"attribution\":{");
             for (i, (cell, frames)) in attribution.iter().enumerate() {
                 if i > 0 {
                     line.push(',');
                 }
-                line.push_str(&format!(
-                    "\"{}\":\"{}\"",
-                    escape_json(cell),
-                    escape_json(frames)
-                ));
+                push_json_str(&mut line, cell);
+                line.push(':');
+                push_json_str(&mut line, frames);
             }
             line.push('}');
         }
         line.push('}');
         line
     }
-}
-
-/// Minimal JSON string escaping for the trajectory line (cell keys and
-/// frame names are plain identifiers, but a defensive escape is cheap).
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Compare a fresh sweep against the baseline. Cells measured in this run

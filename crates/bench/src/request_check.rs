@@ -25,10 +25,9 @@
 //! 5. **decisions ⊆ access** — same containment for the `"request"` key
 //!    of decision JSONL lines.
 //!
-//! Because rehydration re-derives journal lines from the *current*
-//! request (the replay is driven by the resuming submitter), the gate
-//! holds across a `kill -9` + resume as long as the artifacts of both
-//! incarnations are passed in together.
+//! Because a rehydrated session's replayed decisions carry the request
+//! ids its journal recorded, the gate holds across a `kill -9` + resume
+//! as long as the artifacts of both incarnations are passed in together.
 //!
 //! [`DecisionRecord`]: qoco_telemetry::DecisionRecord
 

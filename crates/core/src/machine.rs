@@ -1,13 +1,13 @@
 //! The resumable cleaning session: an explicit state machine over the
 //! (deterministic) Algorithm 3 loop.
 //!
-//! A [`SessionMachine`] owns nothing but a [`SessionSpec`] (the immutable
-//! inputs: dirty database, query, strategy configuration) and the
-//! *consumed-answer log* — the same record stream the PR 4 write-ahead
-//! journal persists. Its three states:
+//! A [`SessionMachine`] owns a [`SessionSpec`] (the immutable inputs: dirty
+//! database, query, strategy configuration), the *consumed-answer log* —
+//! the same record stream the write-ahead journal persists — and, while
+//! the session is live, the thread its cleaner runs on. Its three states:
 //!
 //! ```text
-//!             step()                       submit(answer)
+//!             new()                        submit(answer)
 //!  [spec] ───────────▶ AwaitingAnswers ◀───────────────┐
 //!                        │        │                    │
 //!                        │        └────────────────────┘
@@ -17,13 +17,16 @@
 //!                                        cleaner-level error
 //! ```
 //!
-//! `step()` re-runs the cleaner from the pristine spec with a
-//! [`SuspendingOracle`] that replays the log and unwinds at the first
-//! unanswered question (see `qoco_crowd::suspend`). Because every cleaning
-//! algorithm in this repo is a deterministic function of the answer
-//! sequence (the PR 2 invariant), the replayed prefix is bit-identical on
-//! every step — and on every *rehydration*: a machine rebuilt from a
-//! journal read off disk after a crash lands in exactly the state the dead
+//! The cleaner is the unchanged `clean_view`, run once per session on its
+//! own thread against a [`SuspendingOracle`]: at each unanswered question
+//! the thread parks, handing the question over to the machine (see
+//! `qoco_crowd::suspend`). `submit` sends the answer's journal record and
+//! waits until the cleaner parks again or ends, so a session of *n*
+//! answers costs one cleaner run, and the cleaner's telemetry counters
+//! count each question once. Because every cleaning algorithm in this repo
+//! is a deterministic function of the answer sequence, *rehydration* —
+//! queueing a journal read off disk after a crash before the cleaner
+//! starts — replays the log once and lands in exactly the state the dead
 //! process was in.
 //!
 //! Answer submission is strictly ordered (`seq == log.len() + 1`) and
@@ -33,26 +36,24 @@
 //! the expert dead-latch then fails every later question fast and the
 //! cleaner terminates with a PARTIAL REPORT through the ordinary
 //! `unresolved` machinery — expiry needs no new code path in the cleaner.
+//! Dropping a live machine hangs up on its cleaner the same way and joins
+//! the thread, so no cleaner work outlives its machine.
 //!
-//! The cost of statelessness is recomputation: stepping a session of *n*
-//! answers replays all *n*, so a full conversation is O(n²) replayed
-//! answers. Replay is pure in-memory compute (no crowd latency, no I/O);
-//! for the session sizes the paper's workloads produce (tens of
-//! questions) it is far below the cost of one HTTP round-trip. Telemetry
-//! counters incremented inside the cleaner (question counts, probe hits)
-//! are re-incremented on every step — a documented inflation; the serve
-//! layer's own `sessions.*`/`serve.*` metrics are exact.
+//! A parked session holds one waiting thread and its working database;
+//! the serve layer's session cap bounds how many are parked at once.
 
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::panic::resume_unwind;
+use std::sync::mpsc::{self, Receiver, Sender};
+use std::thread::JoinHandle;
 
 use qoco_crowd::{
-    install_suspend_hook, Answer, JournalRecord, OracleError, PendingQuestion, SingleExpert,
-    SuspendSignal, SuspendingOracle,
+    Answer, JournalRecord, OracleError, PendingQuestion, SingleExpert, SuspendingOracle,
 };
 use qoco_data::Database;
 use qoco_query::ConjunctiveQuery;
 
 use crate::cleaner::{clean_view, CleaningConfig, CleaningReport};
+use crate::error::CleanError;
 
 /// The immutable inputs of a cleaning session. Everything else — the
 /// machine's whole mutable state — is the answer log.
@@ -60,8 +61,8 @@ use crate::cleaner::{clean_view, CleaningConfig, CleaningReport};
 pub struct SessionSpec {
     /// The query whose view is being cleaned.
     pub query: ConjunctiveQuery,
-    /// The dirty database, as submitted. Never mutated in place: every
-    /// step clones it and replays the edits.
+    /// The dirty database, as submitted. Never mutated in place: the
+    /// cleaner works on a clone.
     pub dirty: Database,
     /// Cleaning strategy configuration.
     pub config: CleaningConfig,
@@ -136,10 +137,16 @@ pub struct SessionMachine {
     spec: SessionSpec,
     log: Vec<JournalRecord>,
     state: SessionState,
+    /// Answer records for the parked cleaner; dropping it hangs up.
+    answers: Option<Sender<JournalRecord>>,
+    /// The questions the cleaner parks on; closes when the cleaner ends.
+    parked: Receiver<PendingQuestion>,
+    /// The cleaner's thread, until it is joined.
+    cleaner: Option<JoinHandle<(Result<CleaningReport, CleanError>, Database)>>,
 }
 
 impl SessionMachine {
-    /// Start a fresh session: steps immediately to the first question (or
+    /// Start a fresh session: runs the cleaner to the first question (or
     /// straight to `Finished` for a query whose view needs no crowd).
     pub fn new(spec: SessionSpec) -> SessionMachine {
         SessionMachine::rehydrate(spec, Vec::new())
@@ -150,47 +157,60 @@ impl SessionMachine {
     /// the one the dead process held: same state, same pending question,
     /// and ultimately the same report.
     pub fn rehydrate(spec: SessionSpec, log: Vec<JournalRecord>) -> SessionMachine {
+        let (answers, answer_rx) = mpsc::channel();
+        let (park_tx, parked) = mpsc::channel();
+        for record in &log {
+            answers
+                .send(record.clone())
+                .expect("the receiver is held below");
+        }
+        let (query, mut db, config) = (spec.query.clone(), spec.dirty.clone(), spec.config);
+        let cleaner = std::thread::spawn(move || {
+            let mut crowd = SingleExpert::new(SuspendingOracle::new(answer_rx, park_tx));
+            let report = clean_view(&query, &mut db, &mut crowd, config);
+            (report, db)
+        });
         let mut m = SessionMachine {
             spec,
             log,
-            state: SessionState::Failed(String::new()), // replaced by step()
+            state: SessionState::Failed(String::new()), // replaced by wait()
+            answers: Some(answers),
+            parked,
+            cleaner: Some(cleaner),
         };
-        m.step();
+        m.wait();
         m
     }
 
-    /// Re-run the cleaner over the current log. Idempotent; called
-    /// automatically after every mutation.
-    fn step(&mut self) {
-        install_suspend_hook();
-        // Surface the replay in the serve layer's in-flight inspector
-        // (no-op outside a request).
+    /// Block until the cleaner parks on its next question or ends. A
+    /// cleaner panic is re-raised here.
+    fn wait(&mut self) {
+        // Surface the wait in the serve layer's in-flight inspector (no-op
+        // outside a request).
         qoco_telemetry::set_request_phase("machine.step");
-        let spec = &self.spec;
-        let log = self.log.clone();
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            let mut db = spec.dirty.clone();
-            let oracle = SuspendingOracle::new(log);
-            let mut crowd = SingleExpert::new(oracle);
-            let report = clean_view(&spec.query, &mut db, &mut crowd, spec.config);
-            (report, db)
-        }));
-        self.state = match outcome {
+        if let Ok(pending) = self.parked.recv() {
+            self.state = SessionState::AwaitingAnswers(pending);
+            return;
+        }
+        let cleaner = self.cleaner.take().expect("only a live cleaner is awaited");
+        self.state = match cleaner.join() {
             Ok((Ok(report), cleaned)) => {
                 SessionState::Finished(Box::new(FinishedSession { report, cleaned }))
             }
             Ok((Err(e), _)) => SessionState::Failed(e.to_string()),
-            Err(payload) => match payload.downcast::<SuspendSignal>() {
-                Ok(signal) => {
-                    // The unwind jumped out of the cleaner mid-decision,
-                    // past the finish_decision() that would have cleared
-                    // the thread-local marker.
-                    qoco_telemetry::clear_current_decision();
-                    SessionState::AwaitingAnswers(signal.0)
-                }
-                Err(other) => resume_unwind(other),
-            },
+            Err(panic) => resume_unwind(panic),
         };
+    }
+
+    /// Append `record` to the log, hand it to the parked cleaner, and wait
+    /// for the cleaner's next move.
+    fn apply(&mut self, record: JournalRecord) {
+        self.log.push(record.clone());
+        if let Some(answers) = &self.answers {
+            // Fails only if the cleaner already ended; wait() reports that.
+            let _ = answers.send(record);
+        }
+        self.wait();
     }
 
     /// The session's immutable inputs.
@@ -267,8 +287,7 @@ impl SessionMachine {
             SubmitOutcome::Duplicate => Ok(SubmitOutcome::Duplicate),
             SubmitOutcome::Applied => {
                 let record = self.record_for(outcome).expect("checked: awaiting");
-                self.log.push(record);
-                self.step();
+                self.apply(record);
                 Ok(SubmitOutcome::Applied)
             }
         }
@@ -296,9 +315,19 @@ impl SessionMachine {
     /// existing unresolved machinery. No-op if the session already ended.
     pub fn expire(&mut self) -> Option<JournalRecord> {
         let record = self.record_for(Err(OracleError::Dropped))?;
-        self.log.push(record.clone());
-        self.step();
+        self.apply(record.clone());
         Some(record)
+    }
+}
+
+impl Drop for SessionMachine {
+    /// Hang up on a live cleaner — its oracle answers `dropped`, so it ends
+    /// with a partial report — and join its thread.
+    fn drop(&mut self) {
+        self.answers = None;
+        if let Some(cleaner) = self.cleaner.take() {
+            let _ = cleaner.join();
+        }
     }
 }
 

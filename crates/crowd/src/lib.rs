@@ -56,8 +56,5 @@ pub use question::{Answer, Question, QuestionKind};
 pub use sampling::SamplingOracle;
 pub use session::{CrowdAccess, CrowdError, MajorityCrowd, RetryPolicy, SingleExpert};
 pub use stats::CrowdStats;
-pub use suspend::{
-    install_suspend_hook, parse_tagged_value, tagged_value, PendingQuestion, SuspendSignal,
-    SuspendingOracle,
-};
+pub use suspend::{parse_tagged_value, tagged_value, PendingQuestion, SuspendingOracle};
 pub use transcript::{RecordingCrowd, TranscriptEntry};

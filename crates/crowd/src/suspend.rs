@@ -4,34 +4,20 @@
 //! synchronously — it *calls* the crowd and blocks on the reply. A served
 //! session inverts that: the crowd is an HTTP client that answers whenever
 //! it pleases (late, twice, or never), so the session must **suspend** at
-//! the question boundary instead of blocking a thread.
+//! the question boundary.
 //!
 //! [`SuspendingOracle`] makes any question boundary a suspension point
-//! without rewriting the (deeply recursive) cleaner loops. It holds the
-//! session's consumed-answer log and serves it back in lockstep; the first
-//! question *past* the log has no answer yet, so the oracle captures it as
-//! a [`PendingQuestion`] and unwinds the whole cleaning call stack with a
-//! typed panic payload ([`SuspendSignal`]). The driver (see
-//! `qoco_core::SessionMachine`) catches the signal with
-//! `std::panic::catch_unwind`, discards the partially-mutated scratch
-//! state, and parks the session — which is now nothing but its spec plus
-//! the answer log, durable on disk. Resuming = appending the new answer to
-//! the log and re-running the (deterministic) cleaner; it replays the
-//! prefix bit-identically and either suspends at the *next* question or
-//! finishes with the final report.
-//!
-//! The re-run makes a session of *n* questions cost O(n²) oracle replays
-//! in total; crowd latency dominates by many orders of magnitude, and the
-//! scheme buys the two robustness properties that matter: parked sessions
-//! hold no thread and no in-memory state, and a killed process rehydrates
-//! every in-flight session from its journal alone.
-//!
-//! [`install_suspend_hook`] silences the default panic printout for
-//! suspension unwinds (and only for those) so every parked question does
-//! not spam stderr with a fake crash.
+//! without rewriting the (deeply recursive) cleaner loops: the cleaner runs
+//! on its own thread, and the oracle answers each question with the next
+//! [`JournalRecord`] on its answer channel. Records already queued — the
+//! journal prefix of a rehydrated session — are served in lockstep; at the
+//! first question past them the oracle sends a [`PendingQuestion`] to the
+//! session machine (see `qoco_core::SessionMachine`) and blocks until the
+//! answer arrives. If the machine goes away, both channels close and the
+//! oracle answers `dropped`, so the expert dead-latch ends the cleaner with
+//! a partial report.
 
-use std::collections::VecDeque;
-use std::sync::Once;
+use std::sync::mpsc::{Receiver, Sender, TryRecvError};
 
 use qoco_data::Value;
 
@@ -82,11 +68,6 @@ impl PendingQuestion {
     }
 }
 
-/// The typed panic payload a [`SuspendingOracle`] unwinds with. Catch it
-/// with `catch_unwind` + `downcast`; any other payload is a real crash and
-/// must be propagated with `resume_unwind`.
-pub struct SuspendSignal(pub PendingQuestion);
-
 /// Serialize a [`Value`] with the journal's type tag (`s:GER`, `i:1990`)
 /// so API payloads round-trip text/int values losslessly.
 pub fn tagged_value(v: &Value) -> String {
@@ -109,49 +90,48 @@ pub fn parse_tagged_value(s: &str) -> Result<Value, String> {
     }
 }
 
-/// The oracle behind a served session: replays the consumed-answer log in
-/// lockstep, then suspends (unwinds) at the first unanswered question. See
-/// the module docs for the full protocol.
+/// The oracle behind a served session: serves the queued answer records in
+/// lockstep, then parks on each unanswered question until its record
+/// arrives. See the module docs for the full protocol.
 pub struct SuspendingOracle {
-    replay: VecDeque<JournalRecord>,
+    answers: Receiver<JournalRecord>,
+    parked: Sender<PendingQuestion>,
     served: u64,
-    /// Replayed records whose question kind did not match the question the
+    /// Served records whose question kind did not match the question the
     /// cleaner actually asked — always 0 unless the persisted spec and
     /// journal went out of sync (e.g. a hand-edited session directory).
     desyncs: u64,
 }
 
 impl SuspendingOracle {
-    /// An oracle that will replay `log` and suspend on question
-    /// `log.len() + 1`.
-    pub fn new(log: Vec<JournalRecord>) -> SuspendingOracle {
+    /// An oracle that answers from `answers` and announces each question it
+    /// has no queued record for on `parked`.
+    pub fn new(answers: Receiver<JournalRecord>, parked: Sender<PendingQuestion>) -> Self {
         SuspendingOracle {
-            replay: log.into(),
+            answers,
+            parked,
             served: 0,
             desyncs: 0,
         }
     }
 
-    /// Questions answered from the log so far.
+    /// Questions answered so far.
     pub fn served(&self) -> u64 {
         self.served
     }
 
-    /// Kind mismatches between the log and the questions actually asked.
+    /// Kind mismatches between the records and the questions actually asked.
     pub fn desyncs(&self) -> u64 {
         self.desyncs
     }
-}
 
-impl Oracle for SuspendingOracle {
-    fn answer(&mut self, q: &Question) -> Result<Answer, OracleError> {
-        if let Some(rec) = self.replay.pop_front() {
-            self.served += 1;
-            if rec.kind != q.kind() {
-                self.desyncs += 1;
-                qoco_telemetry::counter_add("serve.replay_desyncs", 1);
-            }
-            return rec.outcome;
+    /// The next answer record: a queued one, else park on `q` and wait.
+    /// `None` once the machine has hung up.
+    fn next_record(&mut self, q: &Question) -> Option<JournalRecord> {
+        match self.answers.try_recv() {
+            Ok(rec) => return Some(rec),
+            Err(TryRecvError::Disconnected) => return None,
+            Err(TryRecvError::Empty) => {}
         }
         let pending = PendingQuestion {
             seq: self.served + 1,
@@ -160,28 +140,30 @@ impl Oracle for SuspendingOracle {
             question: q.clone(),
             decision: qoco_telemetry::current_decision_id(),
         };
-        std::panic::panic_any(SuspendSignal(pending));
+        self.parked.send(pending).ok()?;
+        self.answers.recv().ok()
+    }
+}
+
+impl Oracle for SuspendingOracle {
+    fn answer(&mut self, q: &Question) -> Result<Answer, OracleError> {
+        let Some(rec) = self.next_record(q) else {
+            return Err(OracleError::Dropped);
+        };
+        self.served += 1;
+        if rec.kind != q.kind() {
+            self.desyncs += 1;
+            qoco_telemetry::counter_add("serve.replay_desyncs", 1);
+        }
+        // The decisions this answer causes belong to the request that
+        // supplied it.
+        qoco_telemetry::adopt_request(rec.request);
+        rec.outcome
     }
 
     fn label(&self) -> String {
         "suspending".to_string()
     }
-}
-
-/// Install (once, process-wide) a panic hook that stays silent for
-/// [`SuspendSignal`] unwinds and delegates everything else to the
-/// previously-installed hook. Idempotent; called automatically by the
-/// session machine before its first step.
-pub fn install_suspend_hook() {
-    static HOOK: Once = Once::new();
-    HOOK.call_once(|| {
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            if info.payload().downcast_ref::<SuspendSignal>().is_none() {
-                prev(info);
-            }
-        }));
-    });
 }
 
 #[cfg(test)]
@@ -203,27 +185,51 @@ mod tests {
         }
     }
 
+    /// An oracle with `log` already queued, plus the machine's ends of
+    /// its two channels.
+    fn queued(
+        log: Vec<JournalRecord>,
+    ) -> (
+        SuspendingOracle,
+        Sender<JournalRecord>,
+        Receiver<PendingQuestion>,
+    ) {
+        let (answers, answer_rx) = std::sync::mpsc::channel();
+        let (park_tx, parked) = std::sync::mpsc::channel();
+        for rec in log {
+            answers.send(rec).unwrap();
+        }
+        (SuspendingOracle::new(answer_rx, park_tx), answers, parked)
+    }
+
     #[test]
-    fn replays_the_log_then_suspends_with_the_next_seq() {
-        install_suspend_hook();
-        let mut oracle = SuspendingOracle::new(vec![bool_record(1, true), bool_record(2, false)]);
+    fn replays_the_log_then_waits_for_the_next_seq() {
+        let (mut oracle, answers, parked) =
+            queued(vec![bool_record(1, true), bool_record(2, false)]);
         assert_eq!(oracle.answer(&verify_q()), Ok(Answer::Bool(true)));
         assert_eq!(oracle.answer(&verify_q()), Ok(Answer::Bool(false)));
         assert_eq!(oracle.served(), 2);
-        let unwound =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| oracle.answer(&verify_q())));
-        let payload = unwound.expect_err("the dry oracle must suspend");
-        let signal = payload
-            .downcast::<SuspendSignal>()
-            .expect("payload is a SuspendSignal");
-        assert_eq!(signal.0.seq, 3);
-        assert_eq!(signal.0.kind, QuestionKind::VerifyFact);
-        assert!(signal.0.prompt.starts_with("TRUE("), "{}", signal.0.prompt);
+        assert!(parked.try_recv().is_err(), "a replayed prefix never parks");
+        let asker = std::thread::spawn(move || {
+            let answer = oracle.answer(&verify_q());
+            (answer, oracle)
+        });
+        let pending = parked.recv().expect("the dry oracle parks");
+        assert_eq!(pending.seq, 3);
+        assert_eq!(pending.kind, QuestionKind::VerifyFact);
+        assert!(pending.prompt.starts_with("TRUE("), "{}", pending.prompt);
+        answers.send(bool_record(3, true)).unwrap();
+        let (answer, mut oracle) = asker.join().unwrap();
+        assert_eq!(answer, Ok(Answer::Bool(true)));
+        // a hung-up machine reads as a dropped expert, never a hang
+        drop(answers);
+        assert_eq!(oracle.answer(&verify_q()), Err(OracleError::Dropped));
+        assert_eq!(oracle.served(), 3);
     }
 
     #[test]
     fn faulted_outcomes_replay_as_faults() {
-        let mut oracle = SuspendingOracle::new(vec![JournalRecord {
+        let (mut oracle, _answers, _parked) = queued(vec![JournalRecord {
             seq: 1,
             kind: QuestionKind::VerifyFact,
             outcome: Err(OracleError::Abstain),
@@ -235,7 +241,7 @@ mod tests {
 
     #[test]
     fn kind_mismatches_are_counted_not_fatal() {
-        let mut oracle = SuspendingOracle::new(vec![JournalRecord {
+        let (mut oracle, _answers, _parked) = queued(vec![JournalRecord {
             seq: 1,
             kind: QuestionKind::VerifyAnswer,
             outcome: Ok(Answer::Bool(true)),

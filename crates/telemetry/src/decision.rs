@@ -104,14 +104,6 @@ pub fn current_decision_id() -> Option<u64> {
     (id != 0).then_some(id)
 }
 
-/// Unconditionally clear this thread's current-decision marker. Needed
-/// after a non-local exit (a suspended session unwinds out of the cleaner
-/// mid-decision, past the `finish_decision` that would have cleared it) so
-/// the stale id cannot leak onto whatever runs on this thread next.
-pub fn clear_current_decision() {
-    CURRENT_DECISION.with(|c| c.set(0));
-}
-
 /// Finish the decision opened by [`begin_decision`]: clear the thread's
 /// current-decision marker and report the full record. `detail` is only
 /// invoked when telemetry is enabled; with `id == 0` (a disabled

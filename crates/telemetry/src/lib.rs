@@ -59,7 +59,7 @@ mod chrome;
 mod collector;
 mod decision;
 mod flame;
-mod json;
+pub mod json;
 mod metrics;
 mod profiler;
 mod prometheus;
@@ -80,8 +80,8 @@ pub use alerts::{
 pub use chrome::{chrome_trace_json, chrome_trace_json_full};
 pub use collector::{Collector, FanoutCollector, InMemoryCollector, JsonlCollector};
 pub use decision::{
-    begin_decision, clear_current_decision, current_decision_id, finish_decision, record_decision,
-    DecisionDetail, DecisionRecord,
+    begin_decision, current_decision_id, finish_decision, record_decision, DecisionDetail,
+    DecisionRecord,
 };
 pub use flame::flamegraph_svg;
 pub use metrics::{HistogramSummary, MetricsRegistry, MetricsSnapshot, BUCKET_BOUNDS};
@@ -89,8 +89,8 @@ pub use profiler::{
     diff_profiles, sample_totals, FrameDelta, Profile, Profiler, DEFAULT_SAMPLE_INTERVAL,
 };
 pub use request::{
-    begin_request, clear_current_request, current_request_id, end_request, inflight_requests,
-    intern_metric_name, set_request_phase, set_request_session, InflightRequest,
+    adopt_request, begin_request, clear_current_request, current_request_id, end_request,
+    inflight_requests, intern_metric_name, set_request_phase, set_request_session, InflightRequest,
 };
 pub use server::{HttpRequest, HttpResponse, MetricsServer, RouteHandler, ServerOptions};
 pub use span::{EventRecord, SpanGuard, SpanRecord};

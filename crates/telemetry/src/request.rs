@@ -148,9 +148,18 @@ pub fn end_request(token: u64) -> Option<InflightRequest> {
     inflight_map().remove(&token)
 }
 
-/// Unconditionally clear this thread's current-request marker (the
-/// [`crate::clear_current_decision`] analogue: needed after a non-local
-/// exit so a stale id cannot leak onto whatever runs on this thread next).
+/// Make `id` this thread's current request without registering it in the
+/// in-flight registry. A served session's cleaner thread adopts the id of
+/// each answer it consumes, so the records that answer causes name the
+/// HTTP request that supplied it. No-op with telemetry disabled.
+pub fn adopt_request(id: Option<String>) {
+    if crate::enabled() {
+        CURRENT_REQUEST.with(|c| *c.borrow_mut() = id);
+    }
+}
+
+/// Unconditionally clear this thread's current-request marker, so a stale
+/// id cannot leak onto whatever runs on this thread next.
 pub fn clear_current_request() {
     CURRENT_REQUEST.with(|c| c.borrow_mut().take());
     CURRENT_TOKEN.with(|c| c.set(0));

@@ -1012,6 +1012,11 @@ mod tests {
 
     #[test]
     fn every_route_carries_its_content_type_and_connection_close() {
+        // Its rejects bump global counters: keep clear of tests that
+        // count them inside a telemetry session.
+        let _serial = crate::SESSION_LOCK
+            .lock()
+            .unwrap_or_else(|p| p.into_inner());
         let server = MetricsServer::start("127.0.0.1:0").expect("bind ephemeral port");
         let addr = server.local_addr();
         for (path, content_type) in [
@@ -1273,6 +1278,11 @@ mod tests {
 
     #[test]
     fn slow_or_malformed_clients_cannot_wedge_the_endpoint() {
+        // Its rejects bump global counters: keep clear of tests that
+        // count them inside a telemetry session.
+        let _serial = crate::SESSION_LOCK
+            .lock()
+            .unwrap_or_else(|p| p.into_inner());
         let server = MetricsServer::start("127.0.0.1:0").expect("bind ephemeral port");
         let addr = server.local_addr();
         // a client streaming an endless request line is cut off with 414
@@ -1296,6 +1306,11 @@ mod tests {
 
     #[test]
     fn slow_loris_is_cut_off_by_the_wall_clock_deadline() {
+        // Its rejects bump global counters: keep clear of tests that
+        // count them inside a telemetry session.
+        let _serial = crate::SESSION_LOCK
+            .lock()
+            .unwrap_or_else(|p| p.into_inner());
         // drip bytes fast enough that no single read ever times out, but
         // never finish the head: the wall-clock deadline must fire
         let server = MetricsServer::start_with(
@@ -1334,6 +1349,11 @@ mod tests {
 
     #[test]
     fn oversized_bodies_get_413_before_being_read() {
+        // Its rejects bump global counters: keep clear of tests that
+        // count them inside a telemetry session.
+        let _serial = crate::SESSION_LOCK
+            .lock()
+            .unwrap_or_else(|p| p.into_inner());
         let server = MetricsServer::start_with(
             "127.0.0.1:0",
             ServerOptions {

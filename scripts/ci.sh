@@ -11,6 +11,19 @@ cargo build --release
 echo "== cargo test -q (tier-1) =="
 cargo test -q
 
+echo "== tests/cli.rs under 16 threads, 10 times (temp-dir isolation) =="
+for _ in $(seq 1 10); do
+  cargo test -q -p qoco --test cli -- --test-threads=16
+done
+
+echo "== no panics as control flow in production code =="
+# served sessions park on a waiting thread; nothing may raise, catch or
+# hook a panic to steer the program
+if grep -rnE 'panic_any|catch_unwind|set_hook|take_hook' src crates/*/src; then
+  echo "panic-based control flow in production code (listed above)" >&2
+  exit 1
+fi
+
 echo "== cargo test -q --workspace =="
 cargo test -q --workspace
 

@@ -95,7 +95,7 @@ use qoco::crowd::{
 use qoco::data::{diff, load_dir, save_dir, Database, Schema, SchemaBuilder, Value};
 use qoco::engine::{answer_set, explain, witnesses_for_answer};
 use qoco::query::{parse_query, ConjunctiveQuery};
-use qoco_bench::json::Json;
+use qoco_telemetry::json::Json;
 
 /// Exit code of a `--kill-after` abort, distinct from ordinary failures so
 /// scripts (and `scripts/ci.sh`) can assert the death was the deliberate one.

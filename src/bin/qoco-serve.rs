@@ -29,8 +29,8 @@ use std::time::Duration;
 use qoco::core::{SessionMachine, SessionState};
 use qoco::crowd::{tagged_value, Answer, Oracle, PerfectOracle};
 use qoco::serve::{figure1_ground, figure1_spec, ServeOptions, SessionRegistry};
-use qoco_bench::json::Json;
 use qoco_core::SessionStore;
+use qoco_telemetry::json::Json;
 use qoco_telemetry::{MetricsServer, ServerOptions};
 
 fn usage() -> ! {

@@ -44,7 +44,6 @@ use std::collections::BTreeMap;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use qoco_bench::json::Json;
 use qoco_core::{
     deletion_from_str, split_from_str, CleaningConfig, SessionMachine, SessionSpec, SessionState,
     SessionStore, SubmitError, SubmitOutcome,
@@ -55,27 +54,11 @@ use qoco_crowd::{
 use qoco_data::{Database, Fact, Schema, Tuple, Value};
 use qoco_engine::Assignment;
 use qoco_query::{parse_query, Var};
+use qoco_telemetry::json::{push_json_str, Json};
 use qoco_telemetry::{HttpRequest, HttpResponse, RouteHandler};
 
 // ---------------------------------------------------------------------------
 // JSON rendering
-
-/// Append `s` as a JSON string literal.
-fn push_json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
 
 fn push_tuple(out: &mut String, t: &Tuple) {
     out.push('[');

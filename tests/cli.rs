@@ -5,13 +5,18 @@
 use std::io::Write;
 use std::path::PathBuf;
 use std::process::{Command, Stdio};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use qoco::data::{load_dir, save_dir, tup, Database, Schema};
 use qoco::engine::answer_set;
 use qoco::query::parse_query;
 
+/// A fresh temp path, unique per call: the tests in this binary run in
+/// parallel and must never share (or remove) each other's directories.
 fn tmp(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("qoco-cli-test-{tag}-{}", std::process::id()));
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
+    let dir = std::env::temp_dir().join(format!("qoco-cli-test-{tag}-{}-{n}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
 }
@@ -118,9 +123,7 @@ fn full_session_cleans_and_saves() {
 #[test]
 fn telemetry_flag_exports_jsonl_trace() {
     let (dirty, ground, _) = fixtures();
-    let trace =
-        std::env::temp_dir().join(format!("qoco-cli-test-trace-{}.jsonl", std::process::id()));
-    let _ = std::fs::remove_file(&trace);
+    let trace = tmp("trace");
     let script = format!(
         "relation Games date winner runner_up stage result\n\
          relation Teams country continent\n\

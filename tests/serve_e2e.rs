@@ -243,6 +243,30 @@ fn health_and_404_expose_the_session_routes() {
 }
 
 #[test]
+fn a_deeply_nested_body_is_rejected_and_the_server_lives_on() {
+    let store = tmp_store("nesting");
+    let server = Server::start(&store, &[]);
+    let (status, _) = server.http("POST", "/sessions", "{\"example\":\"figure1\"}");
+    assert_eq!(status, "201 Created");
+    // far past the parser's nesting limit, well under the body cap
+    let bomb = "[".repeat(200_000);
+    for route in ["/sessions", "/sessions/s1/answers"] {
+        let (status, body) = server.http("POST", route, &bomb);
+        assert_eq!(status, "400 Bad Request", "{route}: {body}");
+        assert!(body.contains("nesting too deep"), "{route}: {body}");
+    }
+    let (status, body) = server.http(
+        "POST",
+        "/sessions/s1/answers",
+        "{\"epoch\":1,\"answers\":[{\"seq\":1,\"bool\":false}]}",
+    );
+    assert_eq!(status, "200 OK", "{body}");
+    assert!(body.contains("\"status\":\"applied\""), "{body}");
+    drop(server);
+    let _ = std::fs::remove_dir_all(&store);
+}
+
+#[test]
 fn the_reaper_expires_abandoned_sessions_into_partial_reports() {
     let store = tmp_store("reaper");
     let server = Server::start(&store, &["--deadline-ms", "50", "--reap-interval-ms", "25"]);
