@@ -7,7 +7,18 @@
 //! <root>/<id>/db/<rel>.tsv      the dirty database (qoco_data::save_dir)
 //! <root>/<id>/session.journal   consumed-answer log (PR 4 wire format)
 //! <root>/<id>/epoch             rehydration counter (see below)
+//! <root>/.<id>.staging/         the same files while a create is writing them
 //! ```
+//!
+//! [`SessionStore::create`] is atomic with respect to a crash of this
+//! process: it writes the whole directory under a staging name,
+//! `<root>/.<id>.staging`, and renames it to `<root>/<id>` only once every
+//! file is in place. [`SessionStore::valid_id`] rejects the staging name,
+//! so [`SessionStore::list`] never sees a half-created session, and
+//! [`SessionStore::open`] deletes any staging directory a crash left
+//! behind. Durability across power loss is out of scope: the created files
+//! and the root directory are not fsynced, so the OS may still lose a
+//! fresh session that the serve API acknowledged.
 //!
 //! The write discipline is write-ahead: [`SessionStore::append_answer`]
 //! persists (append + flush + fsync) the answer record *before* the
@@ -247,10 +258,21 @@ pub struct SessionStore {
 }
 
 impl SessionStore {
-    /// Open (creating if needed) a store rooted at `root`.
+    /// Open (creating if needed) a store rooted at `root`, deleting the
+    /// staging directories of creates that a crash interrupted.
     pub fn open(root: impl Into<PathBuf>) -> io::Result<SessionStore> {
         let root = root.into();
         fs::create_dir_all(&root)?;
+        for entry in fs::read_dir(&root)? {
+            let entry = entry?;
+            let name = entry.file_name();
+            let stale = name
+                .to_str()
+                .is_some_and(|n| n.starts_with('.') && n.ends_with(".staging"));
+            if stale && entry.file_type()?.is_dir() {
+                fs::remove_dir_all(entry.path())?;
+            }
+        }
         Ok(SessionStore {
             root,
             fail_appends: AtomicBool::new(false),
@@ -284,7 +306,9 @@ impl SessionStore {
     }
 
     /// Persist a fresh session: spec + dirty database + empty journal +
-    /// epoch 1. Fails if the id already exists.
+    /// epoch 1, staged under `.<id>.staging` and renamed into place, so a
+    /// crash leaves either the whole session or none of it. Fails if the
+    /// id already exists.
     pub fn create(&self, id: &str, spec: &SessionSpec) -> io::Result<()> {
         if !SessionStore::valid_id(id) {
             return Err(bad_data(format!("invalid session id {id:?}")));
@@ -296,12 +320,19 @@ impl SessionStore {
                 format!("session {id} already exists"),
             ));
         }
-        fs::create_dir_all(&dir)?;
-        save_dir(&spec.dirty, &dir.join("db")).map_err(|e| bad_data(e.to_string()))?;
-        fs::write(dir.join("spec.txt"), spec_text(spec))?;
-        fs::write(dir.join("session.journal"), "")?;
-        fs::write(dir.join("epoch"), "1\n")?;
-        Ok(())
+        let staging = self.root.join(format!(".{id}.staging"));
+        fs::create_dir(&staging)?;
+        let staged = save_dir(&spec.dirty, &staging.join("db"))
+            .map_err(|e| bad_data(e.to_string()))
+            .and_then(|()| fs::write(staging.join("spec.txt"), spec_text(spec)))
+            .and_then(|()| fs::write(staging.join("session.journal"), ""))
+            .and_then(|()| fs::write(staging.join("epoch"), "1\n"))
+            .and_then(|()| fs::rename(&staging, &dir));
+        if staged.is_err() {
+            // best-effort: leave no half-written stage behind
+            let _ = fs::remove_dir_all(&staging);
+        }
+        staged
     }
 
     /// Load a session's spec and consumed-answer log. A torn final journal
@@ -467,6 +498,35 @@ mod tests {
         assert_eq!(loaded.dirty.schema().len(), 2);
         assert_eq!(store.epoch("s1").unwrap(), 1);
         assert_eq!(store.list().unwrap(), vec!["s1".to_string()]);
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_crashed_create_leaves_only_a_staging_dir_that_open_removes() {
+        let dir = tmpdir("staging");
+        let store = SessionStore::open(&dir).unwrap();
+        store.create("s1", &fig1_spec()).unwrap();
+        assert!(
+            !dir.join(".s1.staging").exists(),
+            "create renames its stage away"
+        );
+        // a create that died after spec.txt but before the journal
+        let torn = dir.join(".s2.staging");
+        fs::create_dir_all(&torn).unwrap();
+        fs::write(torn.join("spec.txt"), spec_text(&fig1_spec())).unwrap();
+        assert!(!SessionStore::valid_id(".s2.staging"));
+        assert_eq!(store.list().unwrap(), vec!["s1".to_string()]);
+        drop(store);
+        let store = SessionStore::open(&dir).unwrap();
+        assert!(!torn.exists(), "open deletes stale staging dirs");
+        assert_eq!(store.list().unwrap(), vec!["s1".to_string()]);
+        store.load("s1").unwrap();
+        // the interrupted id is free to be created again
+        store.create("s2", &fig1_spec()).unwrap();
+        assert_eq!(
+            store.list().unwrap(),
+            vec!["s1".to_string(), "s2".to_string()]
+        );
         fs::remove_dir_all(&dir).ok();
     }
 

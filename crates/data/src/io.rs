@@ -5,15 +5,16 @@
 //! Values round-trip exactly: integers are written as `#<digits>` and text
 //! escapes tab, newline, carriage return, backslash and a leading `#`.
 
+use std::fmt::Write as _;
 use std::fs;
-use std::io::{self, Write as _};
+use std::io::{self, BufWriter, Write as _};
 use std::path::Path;
 
 use crate::database::Database;
 use crate::error::DataError;
 use crate::schema::Schema;
 use crate::tuple::Tuple;
-use crate::value::Value;
+use crate::value::{TextInterner, Value};
 
 /// Errors from loading/saving databases.
 #[derive(Debug)]
@@ -63,34 +64,40 @@ impl From<DataError> for IoError {
     }
 }
 
-fn encode(v: &Value) -> String {
+/// Append the TSV encoding of `v` to `out`.
+fn encode_into(out: &mut String, v: &Value) {
     match v {
-        Value::Int(i) => format!("#{i}"),
+        Value::Int(i) => {
+            let _ = write!(out, "#{i}");
+        }
+        // an empty cell in an arity-1 relation would read as an empty
+        // (skipped) line; use an explicit marker
+        Value::Text(s) if s.is_empty() => out.push_str("\\e"),
         Value::Text(s) => {
-            if s.is_empty() {
-                // an empty cell in an arity-1 relation would read as an
-                // empty (skipped) line; use an explicit marker
-                return "\\e".to_string();
-            }
-            let mut out = String::with_capacity(s.len());
             if s.starts_with('#') {
                 out.push('\\');
             }
-            for ch in s.chars() {
-                match ch {
-                    '\t' => out.push_str("\\t"),
-                    '\n' => out.push_str("\\n"),
-                    '\r' => out.push_str("\\r"),
-                    '\\' => out.push_str("\\\\"),
-                    other => out.push(other),
-                }
+            // copy the runs between escaped bytes whole; every escaped
+            // byte is ASCII, so each run is a valid `str` slice
+            let mut run = 0;
+            for (i, b) in s.bytes().enumerate() {
+                let escaped = match b {
+                    b'\t' => "\\t",
+                    b'\n' => "\\n",
+                    b'\r' => "\\r",
+                    b'\\' => "\\\\",
+                    _ => continue,
+                };
+                out.push_str(&s[run..i]);
+                out.push_str(escaped);
+                run = i + 1;
             }
-            out
+            out.push_str(&s[run..]);
         }
     }
 }
 
-fn decode(cell: &str) -> Result<Value, String> {
+fn decode(cell: &str, interner: &mut TextInterner) -> Result<Value, String> {
     if let Some(num) = cell.strip_prefix('#') {
         return num
             .parse::<i64>()
@@ -98,7 +105,10 @@ fn decode(cell: &str) -> Result<Value, String> {
             .map_err(|_| format!("bad integer literal `{cell}`"));
     }
     if cell == "\\e" {
-        return Ok(Value::text(""));
+        return Ok(interner.text(""));
+    }
+    if !cell.contains('\\') {
+        return Ok(interner.text(cell));
     }
     let mut out = String::with_capacity(cell.len());
     let mut chars = cell.chars();
@@ -125,20 +135,31 @@ fn decode(cell: &str) -> Result<Value, String> {
             out.push(ch);
         }
     }
-    Ok(Value::text(out))
+    Ok(interner.text(&out))
 }
 
 /// Save `db` into `dir` (created if absent), one `<relation>.tsv` each.
 pub fn save_dir(db: &Database, dir: &Path) -> Result<(), IoError> {
     fs::create_dir_all(dir)?;
+    let mut line = String::new();
     for (rel, decl) in db.schema().iter() {
         let path = dir.join(format!("{}.tsv", decl.name()));
-        let mut file = fs::File::create(&path)?;
+        let mut file = BufWriter::new(fs::File::create(&path)?);
         writeln!(file, "{}", decl.attrs().join("\t"))?;
-        for tuple in db.relation(rel).sorted() {
-            let cells: Vec<String> = tuple.values().iter().map(encode).collect();
-            writeln!(file, "{}", cells.join("\t"))?;
+        let relation = db.relation(rel);
+        for &id in relation.sorted_ids() {
+            line.clear();
+            for (i, v) in relation.tuple(id).values().iter().enumerate() {
+                if i > 0 {
+                    line.push('\t');
+                }
+                encode_into(&mut line, v);
+            }
+            line.push('\n');
+            file.write_all(line.as_bytes())?;
         }
+        // dropping a BufWriter would swallow a failed final write
+        file.flush()?;
     }
     Ok(())
 }
@@ -147,6 +168,7 @@ pub fn save_dir(db: &Database, dir: &Path) -> Result<(), IoError> {
 /// Missing relation files load as empty relations.
 pub fn load_dir(schema: std::sync::Arc<Schema>, dir: &Path) -> Result<Database, IoError> {
     let mut db = Database::empty(schema.clone());
+    let mut interner = TextInterner::new();
     for (rel, decl) in schema.iter() {
         let path = dir.join(format!("{}.tsv", decl.name()));
         if !path.exists() {
@@ -187,11 +209,13 @@ pub fn load_dir(schema: std::sync::Arc<Schema>, dir: &Path) -> Result<Database, 
             }
             let mut values = Vec::with_capacity(cells.len());
             for cell in cells {
-                values.push(decode(cell).map_err(|message| IoError::Format {
-                    file: file_label.clone(),
-                    line: idx + 1,
-                    message,
-                })?);
+                values.push(
+                    decode(cell, &mut interner).map_err(|message| IoError::Format {
+                        file: file_label.clone(),
+                        line: idx + 1,
+                        message,
+                    })?,
+                );
             }
             db.insert(crate::tuple::Fact::new(rel, Tuple::new(values)))?;
         }
@@ -311,8 +335,60 @@ mod tests {
         fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// The exact bytes on disk: existing session stores and qoco-cli output
+    /// directories must stay readable, so the encoding is pinned here.
+    #[test]
+    fn save_dir_writes_the_pinned_tsv_bytes() {
+        let s = Schema::builder()
+            .relation("T", &["k", "v"])
+            .relation("E", &["only"])
+            .relation("Empty", &["a", "b"])
+            .build()
+            .unwrap();
+        let mut db = Database::empty(s.clone());
+        for (k, v) in [
+            (Value::Int(-7), Value::Int(0)),
+            (Value::Int(i64::MAX), Value::text("")),
+            (Value::text("#hash"), Value::text("a#b")),
+            (Value::text("tab\there"), Value::text("nl\ncr\r")),
+            (Value::text("back\\slash"), Value::text("\\")),
+            (Value::text("Götze"), Value::text("雪🦀")),
+        ] {
+            db.insert_named("T", Tuple::new(vec![k, v])).unwrap();
+        }
+        db.insert_named("E", Tuple::new(vec![Value::text("")]))
+            .unwrap();
+        db.insert_named("E", Tuple::new(vec![Value::text("#")]))
+            .unwrap();
+        let dir = tmpdir("golden");
+        save_dir(&db, &dir).unwrap();
+        assert_eq!(
+            fs::read_to_string(dir.join("T.tsv")).unwrap(),
+            "k\tv\n\
+             #-7\t#0\n\
+             #9223372036854775807\t\\e\n\
+             \\#hash\ta#b\n\
+             Götze\t雪🦀\n\
+             back\\\\slash\t\\\\\n\
+             tab\\there\tnl\\ncr\\r\n"
+        );
+        assert_eq!(
+            fs::read_to_string(dir.join("E.tsv")).unwrap(),
+            "only\n\\e\n\\#\n"
+        );
+        assert_eq!(fs::read_to_string(dir.join("Empty.tsv")).unwrap(), "a\tb\n");
+        assert_eq!(load_dir(s, &dir).unwrap().sorted_facts(), db.sorted_facts());
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
     #[test]
     fn encode_decode_unit() {
+        let encode = |v: &Value| {
+            let mut out = String::new();
+            encode_into(&mut out, v);
+            out
+        };
+        let decode = |cell: &str| decode(cell, &mut TextInterner::new());
         assert_eq!(encode(&Value::Int(5)), "#5");
         assert_eq!(decode("#5").unwrap(), Value::Int(5));
         assert_eq!(

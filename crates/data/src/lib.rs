@@ -36,4 +36,4 @@ pub use io::{load_dir, save_dir, IoError};
 pub use relation::{Relation, TupleId};
 pub use schema::{AttrId, RelId, RelationSchema, Schema, SchemaBuilder};
 pub use tuple::{Fact, Tuple};
-pub use value::Value;
+pub use value::{TextInterner, Value};

@@ -130,6 +130,14 @@ impl Relation {
         true
     }
 
+    /// Reserve room for `additional` more tuples in the arena, the live
+    /// bitmap and the membership map, so a bulk load grows each once.
+    pub fn reserve(&mut self, additional: usize) {
+        self.arena.reserve(additional);
+        self.live.reserve(additional);
+        self.ids.reserve(additional);
+    }
+
     /// Remove a tuple. Returns `true` if the relation changed.
     pub fn remove(&mut self, t: &Tuple) -> bool {
         let Some(id) = self.ids.remove(t) else {
@@ -381,6 +389,18 @@ mod tests {
         assert!(r.insert(tup!["ESP", "EU"]));
         assert!(!r.insert(tup!["ESP", "EU"]));
         assert_eq!(r.len(), 1);
+    }
+
+    #[test]
+    fn reserve_changes_no_contents() {
+        let mut r = Relation::new(2);
+        r.insert(tup!["ESP", "EU"]);
+        let epoch = r.epoch();
+        r.reserve(100);
+        assert_eq!((r.len(), r.epoch()), (1, epoch));
+        assert!(r.insert(tup!["GER", "EU"]));
+        assert!(!r.insert(tup!["ESP", "EU"]));
+        assert_eq!(r.sorted(), vec![tup!["ESP", "EU"], tup!["GER", "EU"]]);
     }
 
     #[test]

@@ -8,6 +8,7 @@
 //! sets and edit lists.
 
 use std::borrow::Cow;
+use std::collections::HashSet;
 use std::fmt;
 use std::sync::Arc;
 
@@ -110,6 +111,34 @@ impl From<String> for Value {
     }
 }
 
+/// Builds text values that share one `Arc<str>` per distinct string.
+///
+/// Loaders use one interner per database: repeated cells (team names,
+/// stages, dates) then cost one allocation instead of one each. Values
+/// compare and hash by content, so sharing is invisible to every reader.
+#[derive(Debug, Default)]
+pub struct TextInterner {
+    seen: HashSet<Arc<str>>,
+}
+
+impl TextInterner {
+    /// An interner that has seen no strings yet.
+    pub fn new() -> Self {
+        TextInterner::default()
+    }
+
+    /// The text value for `s`, sharing the payload of any equal string
+    /// this interner returned before.
+    pub fn text(&mut self, s: &str) -> Value {
+        if let Some(shared) = self.seen.get(s) {
+            return Value::Text(shared.clone());
+        }
+        let shared: Arc<str> = Arc::from(s);
+        self.seen.insert(shared.clone());
+        Value::Text(shared)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -165,6 +194,25 @@ mod tests {
         assert_eq!(Value::from(5i64), Value::int(5));
         assert_eq!(Value::from("x"), Value::text("x"));
         assert_eq!(Value::from("x".to_string()), Value::text("x"));
+    }
+
+    #[test]
+    fn interned_text_shares_one_payload_per_string() {
+        let mut interner = TextInterner::new();
+        let (a, b, c) = (
+            interner.text("GER"),
+            interner.text("GER"),
+            interner.text("ESP"),
+        );
+        assert_eq!(a, Value::text("GER"));
+        assert_eq!(c, Value::text("ESP"));
+        match (&a, &b, &c) {
+            (Value::Text(a), Value::Text(b), Value::Text(c)) => {
+                assert!(Arc::ptr_eq(a, b), "equal strings share a payload");
+                assert!(!Arc::ptr_eq(a, c));
+            }
+            _ => unreachable!("interner builds text values"),
+        }
     }
 
     #[test]

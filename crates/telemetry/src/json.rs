@@ -38,6 +38,7 @@ impl Json {
     /// trailing garbage is an error).
     pub fn parse(text: &str) -> Result<Json, ParseError> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
             depth: 0,
@@ -102,6 +103,7 @@ impl fmt::Display for ParseError {
 impl std::error::Error for ParseError {}
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
     /// Arrays/objects currently open.
@@ -255,17 +257,17 @@ impl Parser<'_> {
                 }
                 Some(b) if b < 0x20 => return Err(self.err("raw control character in string")),
                 Some(_) => {
-                    // copy one UTF-8 scalar (the input is a &str, so
-                    // boundaries are valid)
+                    // copy the whole run up to the next quote, backslash or
+                    // control byte: it starts and stops next to ASCII bytes
+                    // (or at the end), so it is a valid `str` slice
                     let start = self.pos;
-                    self.pos += 1;
-                    while self.peek().is_some_and(|b| b & 0b1100_0000 == 0b1000_0000) {
+                    while self
+                        .peek()
+                        .is_some_and(|b| b != b'"' && b != b'\\' && b >= 0x20)
+                    {
                         self.pos += 1;
                     }
-                    out.push_str(
-                        std::str::from_utf8(&self.bytes[start..self.pos])
-                            .expect("input was a &str"),
-                    );
+                    out.push_str(&self.text[start..self.pos]);
                 }
             }
         }
@@ -356,6 +358,39 @@ mod tests {
     fn unescapes_strings() {
         let v = Json::parse(r#""tab\there \"q\" é \n""#).unwrap();
         assert_eq!(v.as_str(), Some("tab\there \"q\" é \n"));
+    }
+
+    #[test]
+    fn runs_meet_escapes_and_multibyte_text() {
+        for (doc, want) in [
+            (r#""abc\"def""#, "abc\"def"),
+            (r#""\"abc""#, "\"abc"),
+            (r#""abc\\""#, "abc\\"),
+            (r#""a\u00e9b\u96eac""#, "a\u{e9}b\u{96ea}c"),
+            (r#""é\né""#, "é\né"),
+            (r#""雪🦀\t→""#, "雪🦀\t→"),
+            (r#""""#, ""),
+        ] {
+            assert_eq!(Json::parse(doc).unwrap().as_str(), Some(want), "{doc}");
+        }
+        let v = Json::parse(r#"{"ké\"y":["vé","🦀\\"]}"#).unwrap();
+        let items = v.get("ké\"y").and_then(Json::as_array).unwrap();
+        assert_eq!(items[0].as_str(), Some("vé"));
+        assert_eq!(items[1].as_str(), Some("🦀\\"));
+    }
+
+    #[test]
+    fn runs_stop_at_raw_control_characters_and_unterminated_ends() {
+        for (doc, at) in [("\"abc\u{1}def\"", 4), ("\"é\tx\"", 3), ("\"ab\ncd\"", 3)] {
+            let err = Json::parse(doc).unwrap_err();
+            assert_eq!(err.message, "raw control character in string", "{doc:?}");
+            assert_eq!(err.at, at, "{doc:?}");
+        }
+        for doc in ["\"abc", "\"雪🦀", "\"a\\\"", "[\"x\",\"yz"] {
+            let err = Json::parse(doc).unwrap_err();
+            assert_eq!(err.message, "unterminated string", "{doc:?}");
+            assert_eq!(err.at, doc.len(), "{doc:?}");
+        }
     }
 
     #[test]

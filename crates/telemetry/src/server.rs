@@ -524,8 +524,12 @@ fn traceparent_trace_id(raw: &str) -> Option<String> {
 fn read_request(stream: &mut TcpStream, options: &ServerOptions) -> std::io::Result<ReadOutcome> {
     let deadline = Instant::now() + options.read_deadline;
     // Per-read timeout well under the deadline, so the deadline check
-    // runs even against a silent peer.
-    let slice = Duration::from_millis(250).min(options.read_deadline);
+    // runs even against a silent peer. It holds for every read below; the
+    // 1 ms floor keeps a zero deadline a 408, not a rejected timeout.
+    let slice = Duration::from_millis(250)
+        .min(options.read_deadline)
+        .max(Duration::from_millis(1));
+    stream.set_read_timeout(Some(slice))?;
     let mut buf: Vec<u8> = Vec::with_capacity(4096);
     let mut chunk = [0u8; 4096];
     let head_end = loop {
@@ -556,7 +560,6 @@ fn read_request(stream: &mut TcpStream, options: &ServerOptions) -> std::io::Res
                 "deadline",
             ));
         }
-        stream.set_read_timeout(Some(slice))?;
         match stream.read(&mut chunk) {
             Ok(0) => {
                 // Peer closed mid-head: nothing to answer.
@@ -609,8 +612,13 @@ fn read_request(stream: &mut TcpStream, options: &ServerOptions) -> std::io::Res
             request_id,
         })));
     }
-    let mut body = buf[head_end + 4..].to_vec();
-    while body.len() < content_length {
+    // The body goes straight into its final buffer, sized by the (capped)
+    // Content-Length; bytes read past the head arrive with it.
+    let mut body = vec![0u8; content_length];
+    let early = &buf[head_end + 4..];
+    let mut filled = early.len().min(content_length);
+    body[..filled].copy_from_slice(&early[..filled]);
+    while filled < content_length {
         if Instant::now() >= deadline {
             return Ok(ReadOutcome::Reject(Box::new(RejectInfo {
                 response: HttpResponse::text(
@@ -623,22 +631,20 @@ fn read_request(stream: &mut TcpStream, options: &ServerOptions) -> std::io::Res
                 request_id: request_id.clone(),
             })));
         }
-        stream.set_read_timeout(Some(slice))?;
-        match stream.read(&mut chunk) {
+        match stream.read(&mut body[filled..]) {
             Ok(0) => {
                 return Err(std::io::Error::new(
                     std::io::ErrorKind::UnexpectedEof,
                     "connection closed mid-body",
                 ))
             }
-            Ok(n) => body.extend_from_slice(&chunk[..n]),
+            Ok(n) => filled += n,
             Err(e)
                 if e.kind() == std::io::ErrorKind::WouldBlock
                     || e.kind() == std::io::ErrorKind::TimedOut => {}
             Err(e) => return Err(e),
         }
     }
-    body.truncate(content_length);
     Ok(ReadOutcome::Request(HttpRequest {
         method,
         route: route.to_string(),
@@ -1377,6 +1383,56 @@ mod tests {
         // a small body still reaches dispatch (404: no handler installed)
         let response = http_post(addr, "/sessions", "{}");
         assert!(response.starts_with("HTTP/1.1 405"), "{response}");
+    }
+
+    #[test]
+    fn a_body_dripped_in_small_writes_arrives_byte_for_byte() {
+        struct Capture(std::sync::Mutex<Vec<u8>>);
+        impl RouteHandler for Capture {
+            fn handle(&self, req: &HttpRequest) -> Option<HttpResponse> {
+                *self.0.lock().expect("capture lock") = req.body.clone();
+                Some(HttpResponse::json("200 OK", "{}\n".to_string()))
+            }
+            fn route_summaries(&self) -> Vec<String> {
+                vec!["POST /capture".to_string()]
+            }
+        }
+        let capture = Arc::new(Capture(std::sync::Mutex::new(Vec::new())));
+        let server = MetricsServer::start_with(
+            "127.0.0.1:0",
+            ServerOptions {
+                handler: Some(capture.clone()),
+                ..ServerOptions::default()
+            },
+        )
+        .expect("bind ephemeral port");
+        // ~200 KB covering every byte value, in a pattern that never
+        // repeats at the write size
+        let body: Vec<u8> = (0..200_000u32)
+            .map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8)
+            .collect();
+        let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+        stream.set_nodelay(true).unwrap();
+        // the first body bytes ride in the same write as the head
+        let mut head = format!(
+            "POST /capture HTTP/1.1\r\nHost: qoco\r\nContent-Length: {}\r\n\r\n",
+            body.len()
+        )
+        .into_bytes();
+        head.extend_from_slice(&body[..333]);
+        stream.write_all(&head).unwrap();
+        for (i, piece) in body[333..].chunks(997).enumerate() {
+            stream.write_all(piece).unwrap();
+            if i % 10 == 0 {
+                std::thread::sleep(Duration::from_millis(2));
+            }
+        }
+        let mut response = String::new();
+        stream.read_to_string(&mut response).unwrap();
+        assert!(response.starts_with("HTTP/1.1 200 OK"), "{response}");
+        let seen = capture.0.lock().unwrap();
+        assert_eq!(seen.len(), body.len());
+        assert!(*seen == body, "body bytes differ");
     }
 
     #[test]

@@ -487,4 +487,36 @@ wait "$serve_pid" 2>/dev/null || true
 trap 'rm -rf "$work"' EXIT
 echo "qoco-serve kill -9 / rehydrate reproduces the uninterrupted report: OK"
 
+echo "== qoco-serve torn create: a leftover staging dir does not block restart =="
+# a create killed mid-write leaves only its staging dir (here holding just
+# spec.txt); the server must start over it, list the real sessions and
+# delete the leftover
+torn_store="$work/torn-store"
+cp -r "$serve_store" "$torn_store"
+mkdir "$torn_store/.s99.staging"
+cp "$torn_store/s1/spec.txt" "$torn_store/.s99.staging/spec.txt"
+: > "$serve_log"
+./target/release/qoco-serve serve --addr 127.0.0.1:0 --store "$torn_store" \
+  > "$serve_log" 2>/dev/null &
+serve_pid=$!
+trap 'kill "$serve_pid" 2>/dev/null || true; rm -rf "$work"' EXIT
+saddr=""
+for _ in $(seq 1 100); do
+  saddr="$(sed -n 's/^listening on //p' "$serve_log")"
+  [ -n "$saddr" ] && break
+  sleep 0.1
+done
+[ -n "$saddr" ] || { echo "qoco-serve did not start over a torn create" >&2; exit 1; }
+curl -sf "http://$saddr/sessions" > "$work/torn-sessions.json"
+grep -q '"id":"s1"' "$work/torn-sessions.json" && grep -q '"id":"s2"' "$work/torn-sessions.json" \
+  || { echo "serve: torn-create restart lost sessions:" >&2; cat "$work/torn-sessions.json" >&2; exit 1; }
+! grep -q 's99' "$work/torn-sessions.json" \
+  || { echo "serve: the staging dir was listed as a session" >&2; exit 1; }
+[ ! -e "$torn_store/.s99.staging" ] \
+  || { echo "serve: the stale staging dir survived the restart" >&2; exit 1; }
+kill "$serve_pid" 2>/dev/null || true
+wait "$serve_pid" 2>/dev/null || true
+trap 'rm -rf "$work"' EXIT
+echo "torn create: restart lists the real sessions and drops the staging dir: OK"
+
 echo "== all CI gates passed =="

@@ -51,7 +51,7 @@ use qoco_core::{
 use qoco_crowd::{
     parse_tagged_value, tagged_value, Answer, OracleError, PendingQuestion, Question,
 };
-use qoco_data::{Database, Fact, Schema, Tuple, Value};
+use qoco_data::{Database, Fact, Schema, TextInterner, Tuple, Value};
 use qoco_engine::Assignment;
 use qoco_query::{parse_query, Var};
 use qoco_telemetry::json::{push_json_str, Json};
@@ -176,9 +176,9 @@ fn error_body(message: &str) -> String {
 // ---------------------------------------------------------------------------
 // JSON request decoding
 
-fn json_value_to_value(v: &Json) -> Result<Value, String> {
+fn json_value_to_value(v: &Json, interner: &mut TextInterner) -> Result<Value, String> {
     match v {
-        Json::String(s) => Ok(Value::text(s)),
+        Json::String(s) => Ok(interner.text(s)),
         Json::Number(n) if n.fract() == 0.0 && n.abs() < 9e15 => Ok(Value::int(*n as i64)),
         other => Err(format!("expected a string or integer cell, got {other:?}")),
     }
@@ -273,20 +273,27 @@ fn decode_spec(body: &Json) -> Result<SessionSpec, String> {
         }
         let schema = builder.build().map_err(|e| e.to_string())?;
         let mut dirty = Database::empty(schema.clone());
+        // one interner for the whole spec: a repeated cell shares one payload
+        let mut interner = TextInterner::new();
         if let Some(Json::Object(rows)) = body.get("rows") {
             for (rel, tuples) in rows {
                 let tuples = tuples
                     .as_array()
                     .ok_or_else(|| format!("rows for {rel} must be an array"))?;
+                if tuples.is_empty() {
+                    continue;
+                }
+                let rel = schema.rel_id(rel).map_err(|e| e.to_string())?;
+                dirty.relation_mut(rel).reserve(tuples.len());
                 for t in tuples {
                     let cells = t
                         .as_array()
                         .ok_or("each row must be an array of cells")?
                         .iter()
-                        .map(json_value_to_value)
+                        .map(|cell| json_value_to_value(cell, &mut interner))
                         .collect::<Result<Vec<_>, _>>()?;
                     dirty
-                        .insert_named(rel, Tuple::new(cells))
+                        .insert(Fact::new(rel, Tuple::new(cells)))
                         .map_err(|e| e.to_string())?;
                 }
             }
@@ -1018,6 +1025,30 @@ mod tests {
         drive(&reg, "s1");
         let resp = get(&reg, "/sessions/s1/report");
         assert!(resp.body.contains("\"partial\":false"), "{}", resp.body);
+        std::fs::remove_dir_all(&root).ok();
+    }
+
+    #[test]
+    fn a_torn_create_does_not_block_restart() {
+        let store = tmp_store("torn-create");
+        let root = store.root().to_path_buf();
+        let reg = SessionRegistry::open(store, ServeOptions::default()).unwrap();
+        post(&reg, "/sessions", "{\"example\":\"figure1\"}");
+        drop(reg);
+        // a create killed after writing spec.txt, before the journal
+        let torn = root.join(".s2.staging");
+        std::fs::create_dir_all(&torn).unwrap();
+        std::fs::copy(root.join("s1").join("spec.txt"), torn.join("spec.txt")).unwrap();
+
+        let reg =
+            SessionRegistry::open(SessionStore::open(&root).unwrap(), ServeOptions::default())
+                .unwrap();
+        assert_eq!(reg.active(), 1, "exactly the one real session rehydrates");
+        assert_eq!(reg.with_session("s1", |_, epoch| epoch), Some(2));
+        assert!(!torn.exists(), "the staging dir is cleaned up");
+        let resp = post(&reg, "/sessions", "{\"example\":\"figure1\"}");
+        assert_eq!(resp.status, "201 Created", "{}", resp.body);
+        assert!(resp.body.contains("\"s2\""), "{}", resp.body);
         std::fs::remove_dir_all(&root).ok();
     }
 

@@ -1,7 +1,7 @@
 //! Property tests for the extension modules: parser round-trips on
 //! generated queries, group-testing correctness, view-monitor equivalence
-//! with full recomputation, constraint-repair soundness, and TSV
-//! persistence round-trips.
+//! with full recomputation, constraint-repair soundness, TSV persistence
+//! round-trips and JSON string round-trips.
 
 use std::collections::BTreeSet;
 
@@ -12,6 +12,7 @@ use qoco::crowd::{PerfectOracle, SingleExpert};
 use qoco::data::{load_dir, save_dir, tup, Database, Edit, Fact, Schema, Value};
 use qoco::engine::{answer_set, ViewMonitor};
 use qoco::query::{parse_query, Atom, ConjunctiveQuery, Inequality, Term, UnionQuery, Var};
+use qoco::telemetry::json::{push_json_str, Json};
 
 fn small_schema() -> std::sync::Arc<Schema> {
     Schema::builder()
@@ -302,5 +303,18 @@ proptest! {
         let loaded = load_dir(s, &dir).unwrap();
         let _ = std::fs::remove_dir_all(&dir);
         prop_assert_eq!(db.sorted_facts(), loaded.sorted_facts());
+    }
+
+    #[test]
+    fn json_strings_round_trip_arbitrary_text(texts in proptest::collection::vec(".*", 1..8)) {
+        // each piece alone, and all of them joined into one long string so
+        // runs of plain text meet every escape the pool can produce
+        let joined = texts.concat();
+        for text in texts.iter().chain(std::iter::once(&joined)) {
+            let mut doc = String::new();
+            push_json_str(&mut doc, text);
+            let parsed = Json::parse(&doc).unwrap();
+            prop_assert_eq!(parsed.as_str(), Some(text.as_str()));
+        }
     }
 }
