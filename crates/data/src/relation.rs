@@ -20,6 +20,7 @@
 //! compaction reassigns `TupleId`s (safe: the engine never holds ids
 //! across an edit).
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::OnceLock;
 
@@ -117,13 +118,14 @@ impl Relation {
             self.arity,
             "tuple arity must match relation arity"
         );
-        if self.ids.contains_key(&t) {
+        // one hash of the tuple, whether it is new or already present
+        let Entry::Vacant(slot) = self.ids.entry(t) else {
             return false;
-        }
+        };
         let id = TupleId(u32::try_from(self.arena.len()).expect("relation exceeds u32 slots"));
-        self.arena.push(t.clone());
+        self.arena.push(slot.key().clone());
+        slot.insert(id);
         self.live.push(true);
-        self.ids.insert(t, id);
         self.live_count += 1;
         self.epoch += 1;
         self.index_insert(id);
@@ -196,24 +198,28 @@ impl Relation {
     }
 
     /// Ids of tuples whose `col`-th value equals `value`, in tuple-sorted
-    /// order, via the (lazily rebuilt) posting list. Returns an empty slice
-    /// if no tuple matches. Shared borrow: safe to call concurrently from
+    /// order, via the column's posting list (built on first use, then
+    /// maintained in place across edits). Returns an empty slice if no
+    /// tuple matches. Shared borrow: safe to call concurrently from
     /// parallel evaluation threads.
     pub fn probe(&self, col: usize, value: &Value) -> &[TupleId] {
+        let posting = self.posting(col, value);
+        if !posting.is_empty() {
+            qoco_telemetry::counter_add("eval.probe_hits", 1);
+        }
+        posting
+    }
+
+    /// The posting list [`probe`](Relation::probe) returns, without
+    /// bumping the `eval.probe_hits` counter: for callers that tally their
+    /// own hits (the query engine publishes one count per evaluation).
+    pub fn posting(&self, col: usize, value: &Value) -> &[TupleId] {
         assert!(
             col < self.arity,
             "column {col} out of range for arity {}",
             self.arity
         );
-        let posting = self
-            .index(col)
-            .get(value)
-            .map(|v| v.as_slice())
-            .unwrap_or(&[]);
-        if !posting.is_empty() {
-            qoco_telemetry::counter_add("eval.probe_hits", 1);
-        }
-        posting
+        self.index(col).get(value).map_or(&[], Vec::as_slice)
     }
 
     /// Length of the posting list for `value` in `col` — the exact number
@@ -222,12 +228,7 @@ impl Relation {
     /// planner's cardinality estimates and the semi-join pre-filter, which
     /// are bookkeeping, not data access.
     pub fn posting_len(&self, col: usize, value: &Value) -> usize {
-        assert!(
-            col < self.arity,
-            "column {col} out of range for arity {}",
-            self.arity
-        );
-        self.index(col).get(value).map(|v| v.len()).unwrap_or(0)
+        self.posting(col, value).len()
     }
 
     /// Like [`probe`](Relation::probe), but resolving ids to tuples.

@@ -18,6 +18,22 @@
 //! order — so the assignment stream is bit-identical across thread counts
 //! and to the pre-optimization engine.
 //!
+//! ## The join kernel
+//!
+//! Each evaluation is compiled once into a [`Kernel`]: every variable of the
+//! seed and the body gets a *slot*, and every plan step records, per column,
+//! whether the tuple value must equal a constant, must equal a slot bound by
+//! the seed or an earlier step, binds a fresh slot, or repeats a slot bound
+//! earlier in the same atom — plus the inequalities that first become
+//! decidable after the step (seed-only ones at step 0). The search then
+//! backtracks over a vector of slot values borrowed from the relation
+//! arenas: a step writes its binds, descends and clears them, with no map
+//! clone, no `Arc` increment and no per-candidate scan of every inequality.
+//! Each bound column's posting is looked up once, and a row becomes an owned
+//! [`Assignment`] (or, for a view refresh, an answer tuple) only when it is
+//! emitted. [`explain`] renders the same compiled steps, so the printed
+//! plan is the plan that runs.
+//!
 //! The whole read path takes `&Database`: indexes build lazily behind
 //! `OnceLock` cells inside each relation, so evaluation never needs a
 //! mutable borrow and can fan out across threads.
@@ -26,23 +42,24 @@
 //!
 //! When more than one thread is available (see [`EvalOptions::threads`] and
 //! `RAYON_NUM_THREADS`), the top-level candidate loop is split into
-//! contiguous chunks evaluated in parallel; the per-chunk result vectors
-//! are concatenated **in chunk order**, which equals sequential discovery
-//! order. Truncation via [`EvalOptions::max_assignments`] uses a shared
-//! array of atomic counters: a branch withholds a push only when the
-//! already-recorded assignments *preceding it in merge order* reach the
-//! cap, so the retained prefix — and the `truncated` flag — are
-//! bit-identical to a sequential run. Candidate lists are pre-sorted, so
-//! evaluation order — and everything downstream: witness order,
-//! crowd-question order, figures — is deterministic regardless of thread
-//! count.
+//! contiguous chunks evaluated in parallel over one shared kernel; the
+//! per-chunk result vectors are concatenated **in chunk order**, which
+//! equals sequential discovery order. Truncation via
+//! [`EvalOptions::max_assignments`] uses a shared array of atomic counters:
+//! a branch withholds a push only when the already-recorded assignments
+//! *preceding it in merge order* reach the cap, so the retained prefix — and
+//! the `truncated` flag — are bit-identical to a sequential run. Candidate
+//! lists are pre-sorted, so evaluation order — and everything downstream:
+//! witness order, crowd-question order, figures — is deterministic
+//! regardless of thread count.
 
 use std::cmp::Reverse;
 use std::collections::HashMap;
+use std::fmt::Write as _;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use qoco_data::{Database, Relation, Tuple, TupleId, Value};
-use qoco_query::{ConjunctiveQuery, Term};
+use qoco_query::{ConjunctiveQuery, Inequality, Term, Var};
 use rayon::prelude::*;
 
 use crate::assignment::Assignment;
@@ -130,274 +147,461 @@ impl Budget<'_> {
     }
 }
 
-/// The candidate list for `order[depth]` under `current`: the **shortest**
-/// posting list among the bound columns, else the full (sorted) live-id
-/// list. Choosing the shortest posting instead of the first bound column is
-/// free (column selection reads posting lengths without issuing probes) and
-/// collapses candidate lists on atoms where a selective variable coexists
-/// with a low-selectivity one. Every posting shares the relation's global
-/// tuple order, so the surviving candidates are enumerated in the same
-/// order whichever column is probed — the assignment stream is unchanged.
-/// The final `bool` reports whether an index probe was issued (false on
-/// the full-scan fallback), so callers can charge probe hits to their span.
-fn candidates_for<'d>(
-    q: &ConjunctiveQuery,
-    db: &'d Database,
-    order: &[usize],
-    depth: usize,
-    current: &Assignment,
-) -> (&'d Relation, &'d [TupleId], bool) {
-    let atom = &q.atoms()[order[depth]];
-    let rel = db.relation(atom.rel);
-    let mut best: Option<(usize, usize, Value)> = None;
-    for (col, term) in atom.terms.iter().enumerate() {
-        if let Some(v) = current.ground_term(term) {
-            let len = rel.posting_len(col, &v);
-            if best.as_ref().is_none_or(|(shortest, _, _)| len < *shortest) {
-                best = Some((len, col, v));
-            }
+/// How one column of a plan step's atom matches a candidate tuple.
+#[derive(Debug, Clone, Copy)]
+enum Col<'a> {
+    /// A query constant, with its posting list (fixed for the evaluation).
+    Const(&'a Value, &'a [TupleId]),
+    /// A variable bound by the seed or an earlier step: must equal its slot.
+    Check(usize),
+    /// The first occurrence of a fresh variable: writes its slot.
+    Bind(usize),
+    /// A fresh variable repeated inside this atom: must equal the value its
+    /// `Bind` column wrote.
+    Same(usize),
+}
+
+/// A value read by an inequality or the head: a slot or a constant.
+#[derive(Debug, Clone, Copy)]
+enum Operand<'a> {
+    Slot(usize),
+    Const(&'a Value),
+}
+
+impl<'a> Operand<'a> {
+    #[inline]
+    fn get(self, slots: &[Option<&'a Value>]) -> Option<&'a Value> {
+        match self {
+            Operand::Slot(s) => slots[s],
+            Operand::Const(c) => Some(c),
         }
     }
-    match best {
-        Some((_, col, v)) => (rel, rel.probe(col, &v), true),
-        None => (rel, rel.sorted_ids(), false),
+}
+
+/// One compiled plan step: the atom `q.atoms()[atom]` over `rel`.
+struct Step<'a> {
+    atom: usize,
+    rel: &'a Relation,
+    cols: Vec<Col<'a>>,
+    /// `(lhs slot, rhs)` of every inequality that first becomes decidable
+    /// once this step's binds are in place.
+    ineqs: Vec<(usize, Operand<'a>)>,
+}
+
+/// One evaluation of `q` over `db` from a seed, compiled to slot operations.
+struct Kernel<'a> {
+    q: &'a ConjunctiveQuery,
+    db: &'a Database,
+    /// The variable behind each slot, in `Var` order, so an emitted row
+    /// builds its [`Assignment`] from already-sorted pairs.
+    vars: Vec<&'a Var>,
+    /// Slot values on entry: the seed's bindings, `None` everywhere else.
+    seed: Vec<Option<&'a Value>>,
+    steps: Vec<Step<'a>>,
+}
+
+impl<'a> Kernel<'a> {
+    /// Plan and compile one evaluation. Atoms are taken greedily by
+    /// estimated candidate cardinality: at each step the atom whose
+    /// candidate list is expected to be smallest. The estimate uses the
+    /// posting lists the relations already materialize — the *exact*
+    /// posting length when a term's value is known at plan time (constants
+    /// and seed bindings, read via `posting_len` so planning issues no
+    /// counted probes), and `len/distinct` for variables bound by an
+    /// earlier step (value unknown until execution). Ties break by more
+    /// bound terms, then atom index, so the order is deterministic and
+    /// independent of thread count. Planning touches the index of every
+    /// column a step will probe, so the search itself never builds one.
+    fn compile(q: &'a ConjunctiveQuery, db: &'a Database, seed: &'a Assignment) -> Self {
+        let mut vars: Vec<&Var> = seed.iter().map(|(v, _)| v).collect();
+        for atom in q.atoms() {
+            vars.extend(atom.terms.iter().filter_map(|t| match t {
+                Term::Var(v) => Some(v),
+                Term::Const(_) => None,
+            }));
+        }
+        vars.sort_unstable();
+        vars.dedup();
+        let slot_of = |v: &Var| {
+            vars.binary_search(&v)
+                .expect("every seed and body variable has a slot")
+        };
+        let mut init = vec![None; vars.len()];
+        for (v, value) in seed.iter() {
+            init[slot_of(v)] = Some(value);
+        }
+        let estimate = |i: usize, bound: &[bool]| {
+            let a = &q.atoms()[i];
+            let rel = db.relation(a.rel);
+            let mut estimate = rel.len();
+            let mut n_bound = 0usize;
+            for (col, term) in a.terms.iter().enumerate() {
+                let known = match term {
+                    Term::Const(c) => Some(rel.posting_len(col, c)),
+                    Term::Var(v) => {
+                        let s = slot_of(v);
+                        match init[s] {
+                            Some(value) => Some(rel.posting_len(col, value)),
+                            None if bound[s] => {
+                                let distinct = rel.distinct_in_column(col).max(1);
+                                Some(rel.len().div_ceil(distinct))
+                            }
+                            None => None,
+                        }
+                    }
+                };
+                if let Some(len) = known {
+                    n_bound += 1;
+                    estimate = estimate.min(len);
+                }
+            }
+            // minimize (estimate, -bound, i)
+            (estimate, Reverse(n_bound), i)
+        };
+        let mut bound: Vec<bool> = init.iter().map(Option::is_some).collect();
+        let mut remaining: Vec<usize> = (0..q.atoms().len()).collect();
+        let mut pending: Vec<&Inequality> = q.inequalities().iter().collect();
+        let mut steps = Vec::with_capacity(remaining.len());
+        while !remaining.is_empty() {
+            let next = (0..remaining.len())
+                .min_by_key(|&k| estimate(remaining[k], &bound))
+                .expect("remaining is non-empty");
+            let atom = remaining.remove(next);
+            let a = &q.atoms()[atom];
+            let rel = db.relation(a.rel);
+            let mut cols: Vec<Col<'a>> = Vec::with_capacity(a.terms.len());
+            for (col, term) in a.terms.iter().enumerate() {
+                let c = match term {
+                    Term::Const(c) => Col::Const(c, rel.posting(col, c)),
+                    Term::Var(v) => {
+                        let s = slot_of(v);
+                        if bound[s] {
+                            Col::Check(s)
+                        } else if cols.iter().any(|c| matches!(c, Col::Bind(t) if *t == s)) {
+                            Col::Same(s)
+                        } else {
+                            Col::Bind(s)
+                        }
+                    }
+                };
+                cols.push(c);
+            }
+            for c in &cols {
+                if let Col::Bind(s) = *c {
+                    bound[s] = true;
+                }
+            }
+            let mut ineqs = Vec::new();
+            pending.retain(|e| {
+                let lhs = slot_of(&e.lhs);
+                let rhs = match &e.rhs {
+                    Term::Var(v) => Operand::Slot(slot_of(v)),
+                    Term::Const(c) => Operand::Const(c),
+                };
+                let decidable = bound[lhs] && !matches!(rhs, Operand::Slot(r) if !bound[r]);
+                if decidable {
+                    ineqs.push((lhs, rhs));
+                }
+                !decidable
+            });
+            steps.push(Step {
+                atom,
+                rel,
+                cols,
+                ineqs,
+            });
+        }
+        // query validation keeps every inequality variable in the body
+        debug_assert!(pending.is_empty(), "undecidable inequalities");
+        Kernel {
+            q,
+            db,
+            vars,
+            seed: init,
+            steps,
+        }
+    }
+
+    /// The slot of a body variable, or the constant, behind a term.
+    fn operand(&self, t: &'a Term) -> Operand<'a> {
+        match t {
+            Term::Var(v) => Operand::Slot(
+                self.vars
+                    .binary_search(&v)
+                    .expect("head variables occur in the body"),
+            ),
+            Term::Const(c) => Operand::Const(c),
+        }
+    }
+
+    /// The candidate list for step `depth` under `slots`: the **shortest**
+    /// posting among the bound columns, each looked up once (the first
+    /// column wins ties), else the full (sorted) live-id list. Every
+    /// posting shares the relation's global tuple order, so the surviving
+    /// candidates come out in the same order whichever column is probed.
+    /// The `bool` reports whether an index probe was issued (false on the
+    /// full-scan fallback).
+    fn candidates(&self, depth: usize, slots: &[Option<&'a Value>]) -> (&'a [TupleId], bool) {
+        let step = &self.steps[depth];
+        let mut best: Option<&'a [TupleId]> = None;
+        for (col, c) in step.cols.iter().enumerate() {
+            let posting = match *c {
+                Col::Const(_, posting) => posting,
+                Col::Check(s) => step
+                    .rel
+                    .posting(col, slots[s].expect("checked slots are bound")),
+                Col::Bind(_) | Col::Same(_) => continue,
+            };
+            if best.is_none_or(|b| posting.len() < b.len()) {
+                best = Some(posting);
+                if posting.is_empty() {
+                    break; // nothing later can be strictly shorter
+                }
+            }
+        }
+        match best {
+            Some(posting) => (posting, true),
+            None => (step.rel.sorted_ids(), false),
+        }
+    }
+
+    /// An emitted row as an owned [`Assignment`].
+    fn assignment(&self, row: &[&'a Value]) -> Assignment {
+        Assignment::from_pairs(
+            self.vars
+                .iter()
+                .zip(row)
+                .map(|(v, value)| ((*v).clone(), (*value).clone())),
+        )
     }
 }
 
-struct Search<'a> {
-    q: &'a ConjunctiveQuery,
-    db: &'a Database,
-    order: &'a [usize],
-    opts: EvalOptions,
-    early_exit: bool,
-    out: Vec<Assignment>,
-    truncated: bool,
-    /// Candidate tuples examined across the whole search; flushed to the
-    /// `eval.assignments_tried` counter by the public entry points.
-    tried: u64,
-    /// Index probes issued across the whole search; recorded as a
-    /// `probes=` span field so the phase-attribution report can show where
-    /// probe work happens.
-    probes: u64,
-    /// Present only on parallel branches with a finite `max_assignments`.
-    budget: Option<Budget<'a>>,
+/// Emitted rows, one value per slot, flattened into one buffer: a row
+/// costs no allocation of its own and sorts as a plain value slice.
+struct Rows<'a> {
+    width: usize,
+    len: usize,
+    values: Vec<&'a Value>,
 }
 
-impl<'a> Search<'a> {
+impl<'a> Rows<'a> {
+    fn new(width: usize) -> Self {
+        Rows {
+            width,
+            len: 0,
+            values: Vec::new(),
+        }
+    }
+
+    fn row(&self, i: usize) -> &[&'a Value] {
+        &self.values[i * self.width..(i + 1) * self.width]
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &[&'a Value]> {
+        (0..self.len).map(|i| self.row(i))
+    }
+
+    fn push(&mut self, slots: &[Option<&'a Value>]) {
+        self.values
+            .extend(slots.iter().map(|v| v.expect("emitted rows are total")));
+        self.len += 1;
+    }
+
+    fn append(&mut self, other: Rows<'a>) {
+        self.values.extend(other.values);
+        self.len += other.len;
+    }
+
+    fn truncate(&mut self, len: usize) {
+        self.len = self.len.min(len);
+        self.values.truncate(self.len * self.width);
+    }
+}
+
+/// Work done by one search, published as the `eval.assignments_tried` and
+/// `eval.probe_hits` counters and the `probes=` span field.
+#[derive(Debug, Default, Clone, Copy)]
+struct Tally {
+    /// Candidate tuples examined.
+    tried: u64,
+    /// Index probes issued (scans excluded).
+    probes: u64,
+    /// Index probes that returned a non-empty posting.
+    hits: u64,
+}
+
+impl Tally {
+    fn probed(&mut self, candidates: &[TupleId], probed: bool) {
+        if probed {
+            self.probes += 1;
+            self.hits += !candidates.is_empty() as u64;
+        }
+    }
+
+    fn add(&mut self, other: Tally) {
+        self.tried += other.tried;
+        self.probes += other.probes;
+        self.hits += other.hits;
+    }
+
+    fn flush(&self) {
+        qoco_telemetry::counter_add("eval.assignments_tried", self.tried);
+        if self.hits > 0 {
+            qoco_telemetry::counter_add("eval.probe_hits", self.hits);
+        }
+    }
+}
+
+/// One backtracking search over a kernel.
+struct Run<'k, 'a> {
+    kernel: &'k Kernel<'a>,
+    slots: Vec<Option<&'a Value>>,
+    out: Rows<'a>,
+    early_exit: bool,
+    limit: usize,
+    truncated: bool,
+    tally: Tally,
+    /// Present only on parallel branches with a finite `max_assignments`.
+    budget: Option<Budget<'k>>,
+}
+
+impl<'k, 'a> Run<'k, 'a> {
     fn new(
-        q: &'a ConjunctiveQuery,
-        db: &'a Database,
-        order: &'a [usize],
-        opts: EvalOptions,
+        kernel: &'k Kernel<'a>,
         early_exit: bool,
-        budget: Option<Budget<'a>>,
+        limit: usize,
+        budget: Option<Budget<'k>>,
     ) -> Self {
-        Search {
-            q,
-            db,
-            order,
-            opts,
+        Run {
+            kernel,
+            slots: kernel.seed.clone(),
+            out: Rows::new(kernel.vars.len()),
             early_exit,
-            out: Vec::new(),
+            limit,
             truncated: false,
-            tried: 0,
-            probes: 0,
+            tally: Tally::default(),
             budget,
         }
     }
 
-    /// Greedy atom order by estimated candidate cardinality: at each step
-    /// pick the atom whose candidate list is expected to be smallest. The
-    /// estimate uses the posting lists the relations already materialize —
-    /// the *exact* posting length when a term's value is known at plan time
-    /// (constants and seed bindings, read via `posting_len` so planning
-    /// issues no counted probes), and `len/distinct` for variables bound by
-    /// an earlier plan step (value unknown until execution). Ties break by
-    /// more bound terms, then atom index, so the order is deterministic and
-    /// independent of thread count.
-    fn plan(q: &ConjunctiveQuery, db: &Database, seed: &Assignment) -> Vec<usize> {
-        let n = q.atoms().len();
-        let mut bound_vars: std::collections::BTreeSet<qoco_query::Var> =
-            seed.iter().map(|(v, _)| v.clone()).collect();
-        let mut remaining: Vec<usize> = (0..n).collect();
-        let mut order = Vec::with_capacity(n);
-        while !remaining.is_empty() {
-            let best = remaining
-                .iter()
-                .copied()
-                .min_by_key(|&i| {
-                    let a = &q.atoms()[i];
-                    let rel = db.relation(a.rel);
-                    let mut estimate = rel.len();
-                    let mut bound = 0usize;
-                    for (col, term) in a.terms.iter().enumerate() {
-                        match term {
-                            Term::Const(c) => {
-                                bound += 1;
-                                estimate = estimate.min(rel.posting_len(col, c));
-                            }
-                            Term::Var(v) => {
-                                if let Some(value) = seed.get(v) {
-                                    bound += 1;
-                                    estimate = estimate.min(rel.posting_len(col, value));
-                                } else if bound_vars.contains(v) {
-                                    bound += 1;
-                                    let distinct = rel.distinct_in_column(col).max(1);
-                                    estimate = estimate.min(rel.len().div_ceil(distinct));
-                                }
-                            }
-                        }
-                    }
-                    // minimize (estimate, -bound, i)
-                    (estimate, Reverse(bound), i)
-                })
-                .expect("remaining is non-empty");
-            order.push(best);
-            for v in q.atoms()[best].vars() {
-                bound_vars.insert(v);
-            }
-            remaining.retain(|&i| i != best);
-        }
-        order
-    }
-
     fn should_stop(&self) -> bool {
-        self.truncated || (self.early_exit && !self.out.is_empty())
+        self.truncated || (self.early_exit && self.out.len > 0)
     }
 
-    fn descend(&mut self, depth: usize, current: Assignment) {
+    fn descend(&mut self, depth: usize) {
         if self.should_stop() {
             return;
         }
-        if depth == self.order.len() {
-            self.finalize(current);
+        if depth == self.kernel.steps.len() {
+            self.emit();
             return;
         }
-        let (rel, cands, probed) = candidates_for(self.q, self.db, self.order, depth, &current);
-        self.probes += probed as u64;
+        let (cands, probed) = self.kernel.candidates(depth, &self.slots);
+        self.tally.probed(cands, probed);
         for &tid in cands {
             if self.should_stop() {
                 return;
             }
-            self.expand(depth, rel, &current, tid);
+            self.extend(depth, tid);
         }
     }
 
-    /// Try to extend `current` with the tuple `tid` of atom `order[depth]`,
-    /// descending on success.
-    fn expand(&mut self, depth: usize, rel: &Relation, current: &Assignment, tid: TupleId) {
-        self.tried += 1;
-        let atom = &self.q.atoms()[self.order[depth]];
-        let tuple = rel.tuple(tid);
-        // reject on constants and already-bound variables before paying for
-        // an assignment clone — on selective probes most candidates die here
-        for (term, value) in atom.terms.iter().zip(tuple.values()) {
-            match term {
-                Term::Const(c) => {
-                    if c != value {
-                        return;
-                    }
-                }
-                Term::Var(v) => {
-                    if current.get(v).is_some_and(|bound| bound != value) {
-                        return;
-                    }
-                }
-            }
-        }
-        let mut next = current.clone();
-        for (term, value) in atom.terms.iter().zip(tuple.values()) {
-            if let Term::Var(v) = term {
-                if !next.bind(v.clone(), value.clone()) {
-                    // a repeated fresh variable can still clash here
-                    return;
-                }
-            }
-        }
-        // prune on any inequality already violated
-        for e in self.q.inequalities() {
-            if next.check_inequality(e) == Some(false) {
+    /// Try the tuple `tid` at step `depth`, descending on success.
+    fn extend(&mut self, depth: usize, tid: TupleId) {
+        self.tally.tried += 1;
+        let step = &self.kernel.steps[depth];
+        let values = step.rel.tuple(tid).values();
+        // reject on constants and earlier bindings before writing a slot —
+        // on selective probes most candidates die here
+        for (col, value) in step.cols.iter().zip(values) {
+            let matches = match *col {
+                Col::Const(c, _) => c == value,
+                Col::Check(s) => self.slots[s] == Some(value),
+                Col::Bind(_) | Col::Same(_) => true,
+            };
+            if !matches {
                 return;
             }
         }
-        self.descend(depth + 1, next);
+        let mut ok = true;
+        for (col, value) in step.cols.iter().zip(values) {
+            match *col {
+                Col::Bind(s) => self.slots[s] = Some(value),
+                Col::Same(s) if self.slots[s] != Some(value) => {
+                    ok = false;
+                    break;
+                }
+                _ => {}
+            }
+        }
+        ok = ok
+            && step
+                .ineqs
+                .iter()
+                .all(|&(lhs, rhs)| self.slots[lhs] != rhs.get(&self.slots));
+        if ok {
+            self.descend(depth + 1);
+        }
+        for col in &step.cols {
+            if let Col::Bind(s) = *col {
+                self.slots[s] = None;
+            }
+        }
     }
 
-    /// All atoms matched: check the (now ground) inequalities and retain
-    /// the assignment, subject to the truncation budget.
-    fn finalize(&mut self, current: Assignment) {
-        let ok = self
-            .q
-            .inequalities()
-            .iter()
-            .all(|e| current.check_inequality(e) == Some(true));
-        if !ok {
-            return;
-        }
+    /// Every step matched and every inequality held: retain the row,
+    /// subject to the truncation budget.
+    fn emit(&mut self) {
         let exhausted = match &self.budget {
             Some(b) => b.preceding() >= b.limit,
-            None => self.out.len() >= self.opts.max_assignments,
+            None => self.out.len >= self.limit,
         };
         if exhausted {
             self.truncated = true;
             return;
         }
-        self.out.push(current);
+        self.out.push(&self.slots);
         if let Some(b) = &self.budget {
             b.record();
         }
     }
 }
 
-/// Semi-join pre-filter for a full-scan root atom: drop candidates whose
+/// Semi-join pre-filter for a full-scan root step: drop candidates whose
 /// value for a join variable has an **empty** posting list in a partner
 /// atom — no assignment can extend such a candidate, so pruning is sound
 /// and the surviving enumeration order is untouched. One partner (the
-/// smallest relation mentioning the variable) is checked per root
-/// variable, one hash lookup each. A deterministic prefix sample bounds
+/// smallest relation mentioning the variable) is checked per variable the
+/// root binds, one hash lookup each. A deterministic prefix sample bounds
 /// the overhead: when almost nothing in the sample is prunable the filter
 /// abandons and the scan proceeds unfiltered. Everything here is a pure
 /// function of the database, so sequential and parallel runs see the same
 /// candidate list.
-fn semijoin_prefilter(
-    q: &ConjunctiveQuery,
-    db: &Database,
-    order: &[usize],
-    seed: &Assignment,
-    rel: &Relation,
-    cands: &[TupleId],
-) -> Option<Vec<TupleId>> {
+fn semijoin_prefilter(kernel: &Kernel<'_>, cands: &[TupleId]) -> Option<Vec<TupleId>> {
     if cands.len() < SEMIJOIN_MIN_CANDIDATES {
         return None;
     }
-    let root_idx = order[0];
-    let root = &q.atoms()[root_idx];
+    let root = &kernel.steps[0];
     // (root column, partner relation, partner column) per join variable
     let mut checks: Vec<(usize, &Relation, usize)> = Vec::new();
-    for (col, term) in root.terms.iter().enumerate() {
-        let Term::Var(v) = term else { continue };
-        if seed.get(v).is_some() {
-            continue; // ground under the seed: the root scan is already odd
-        }
-        // consider each variable once, at its first column
-        if root.terms[..col]
-            .iter()
-            .any(|t| matches!(t, Term::Var(u) if u == v))
-        {
-            continue;
-        }
+    for (col, c) in root.cols.iter().enumerate() {
+        // each fresh variable once, at the column that binds it; seed-bound
+        // columns would have made the root a probe
+        let Col::Bind(s) = *c else { continue };
+        let v = kernel.vars[s];
         let mut partner: Option<(usize, &Relation, usize)> = None;
-        for (j, atom) in q.atoms().iter().enumerate() {
-            if j == root_idx {
+        for (j, atom) in kernel.q.atoms().iter().enumerate() {
+            if j == root.atom {
                 continue;
             }
-            for (pcol, pterm) in atom.terms.iter().enumerate() {
-                if matches!(pterm, Term::Var(u) if u == v) {
-                    let prel = db.relation(atom.rel);
-                    if partner.is_none_or(|(plen, _, _)| prel.len() < plen) {
-                        partner = Some((prel.len(), prel, pcol));
-                    }
-                    break;
+            if let Some(pcol) = atom
+                .terms
+                .iter()
+                .position(|t| matches!(t, Term::Var(u) if u == v))
+            {
+                let prel = kernel.db.relation(atom.rel);
+                if partner.is_none_or(|(plen, _, _)| prel.len() < plen) {
+                    partner = Some((prel.len(), prel, pcol));
                 }
             }
         }
@@ -409,7 +613,7 @@ fn semijoin_prefilter(
         return None;
     }
     let keep = |tid: TupleId| {
-        let t = rel.tuple(tid);
+        let t = root.rel.tuple(tid);
         checks
             .iter()
             .all(|(col, prel, pcol)| prel.posting_len(*pcol, &t.values()[*col]) > 0)
@@ -427,62 +631,50 @@ fn semijoin_prefilter(
     Some(filtered)
 }
 
-/// Run the search over `seed`, fanning the top-level candidate loop out
-/// across threads when worthwhile. Returns `(assignments, truncated,
-/// tried, probes)` with assignments in sequential discovery order.
-fn run_search(
-    q: &ConjunctiveQuery,
-    db: &Database,
-    order: &[usize],
-    seed: &Assignment,
-    opts: EvalOptions,
-    early_exit: bool,
-) -> (Vec<Assignment>, bool, u64, u64) {
+/// Run the kernel exhaustively from its seed, fanning the top-level
+/// candidate loop out across threads when worthwhile. Returns
+/// `(rows, truncated, tally)` with rows in sequential discovery order.
+fn run_search<'a>(kernel: &Kernel<'a>, opts: EvalOptions) -> (Rows<'a>, bool, Tally) {
     let threads = opts
         .threads
         .unwrap_or_else(rayon::current_num_threads)
         .max(1);
-    let (rel, cands, root_probed) = candidates_for(q, db, order, 0, seed);
-    // A probed root is already selective, and an early-exit search wants
-    // its first witness, not a pass over every candidate — pre-filter only
-    // exhaustive scans.
-    let filtered = if !root_probed && !early_exit {
-        semijoin_prefilter(q, db, order, seed, rel, cands)
-    } else {
+    let mut tally = Tally::default();
+    let (cands, root_probed) = kernel.candidates(0, &kernel.seed);
+    tally.probed(cands, root_probed);
+    // a probed root is already selective: pre-filter only full scans
+    let filtered = if root_probed {
         None
+    } else {
+        semijoin_prefilter(kernel, cands)
     };
     let cands: &[TupleId] = filtered.as_deref().unwrap_or(cands);
-    if threads > 1 && !early_exit && cands.len() >= PAR_MIN_CANDIDATES.max(threads) {
-        let (out, truncated, tried, probes) =
-            run_parallel(q, db, order, seed, opts, threads, rel, cands);
-        return (out, truncated, tried, probes + root_probed as u64);
+    if threads > 1 && cands.len() >= PAR_MIN_CANDIDATES.max(threads) {
+        let (out, truncated, chunks) = run_parallel(kernel, opts, threads, cands);
+        tally.add(chunks);
+        return (out, truncated, tally);
     }
-    let mut s = Search::new(q, db, order, opts, early_exit, None);
-    s.probes += root_probed as u64;
+    let mut run = Run::new(kernel, false, opts.max_assignments, None);
     for &tid in cands {
-        if s.should_stop() {
+        if run.should_stop() {
             break;
         }
-        s.expand(0, rel, seed, tid);
+        run.extend(0, tid);
     }
-    (s.out, s.truncated, s.tried, s.probes)
+    tally.add(run.tally);
+    (run.out, run.truncated, tally)
 }
 
-#[allow(clippy::too_many_arguments)]
-fn run_parallel(
-    q: &ConjunctiveQuery,
-    db: &Database,
-    order: &[usize],
-    seed: &Assignment,
+fn run_parallel<'a>(
+    kernel: &Kernel<'a>,
     opts: EvalOptions,
     threads: usize,
-    rel: &Relation,
     cands: &[TupleId],
-) -> (Vec<Assignment>, bool, u64, u64) {
+) -> (Rows<'a>, bool, Tally) {
     // Warm every index the workers could touch so they don't race to
     // build (and then discard duplicate copies of) the same OnceLock cells.
-    for atom in q.atoms() {
-        db.relation(atom.rel).ensure_indexes();
+    for step in &kernel.steps {
+        step.rel.ensure_indexes();
     }
     let chunk_size = cands.len().div_ceil(threads);
     let n_chunks = cands.len().div_ceil(chunk_size);
@@ -493,7 +685,7 @@ fn run_parallel(
     // this (coordinating) thread.
     let parent_span = qoco_telemetry::current_span_id();
 
-    let results: Vec<(Vec<Assignment>, bool, u64, u64)> = cands
+    let results: Vec<(Rows<'a>, bool, Tally)> = cands
         .par_chunks(chunk_size)
         .enumerate()
         .map(|(ci, chunk)| {
@@ -505,34 +697,32 @@ fn run_parallel(
                 found: &found,
                 limit: opts.max_assignments,
             });
-            let mut s = Search::new(q, db, order, opts, false, budget);
+            let mut run = Run::new(kernel, false, opts.max_assignments, budget);
             for &tid in chunk {
-                if s.should_stop() {
+                if run.should_stop() {
                     break;
                 }
-                s.expand(0, rel, seed, tid);
+                run.extend(0, tid);
             }
-            chunk_span.record("valid", s.out.len());
-            chunk_span.record("probes", s.probes);
-            (s.out, s.truncated, s.tried, s.probes)
+            chunk_span.record("valid", run.out.len);
+            chunk_span.record("probes", run.tally.probes);
+            (run.out, run.truncated, run.tally)
         })
         .collect();
 
-    let mut merged = Vec::new();
+    let mut merged = Rows::new(kernel.vars.len());
     let mut truncated = false;
-    let mut tried = 0u64;
-    let mut probes = 0u64;
-    for (out, branch_truncated, branch_tried, branch_probes) in results {
-        merged.extend(out);
+    let mut tally = Tally::default();
+    for (out, branch_truncated, branch_tally) in results {
+        merged.append(out);
         truncated |= branch_truncated;
-        tried += branch_tried;
-        probes += branch_probes;
+        tally.add(branch_tally);
     }
-    if merged.len() > opts.max_assignments {
+    if merged.len > opts.max_assignments {
         merged.truncate(opts.max_assignments);
         truncated = true;
     }
-    (merged, truncated, tried, probes)
+    (merged, truncated, tally)
 }
 
 /// Enumerate all valid assignments of `q` over `db` extending `seed`
@@ -544,18 +734,58 @@ pub fn all_assignments(
     opts: EvalOptions,
 ) -> EvalResult {
     let span = qoco_telemetry::span("eval.assignments").field("atoms", q.atoms().len());
-    let order = Search::plan(q, db, seed);
-    let (mut assignments, truncated, tried, probes) = run_search(q, db, &order, seed, opts, false);
-    qoco_telemetry::counter_add("eval.assignments_tried", tried);
-    assignments.sort();
-    assignments.dedup();
+    let kernel = Kernel::compile(q, db, seed);
+    let (rows, truncated, tally) = run_search(&kernel, opts);
+    tally.flush();
+    // Every row binds the same variables in slot (= `Var`) order, so rows
+    // sort exactly like the assignments they become.
+    let mut order: Vec<usize> = (0..rows.len).collect();
+    order.sort_by(|&a, &b| rows.row(a).cmp(rows.row(b)));
+    order.dedup_by(|a, b| rows.row(*a) == rows.row(*b));
+    let assignments: Vec<Assignment> = order
+        .into_iter()
+        .map(|i| kernel.assignment(rows.row(i)))
+        .collect();
     span.field("valid", assignments.len())
-        .field("probes", probes)
+        .field("probes", tally.probes)
         .finish();
     EvalResult {
         assignments,
         truncated,
     }
+}
+
+/// `α(head(Q))` for every valid assignment `α` of `q` over `db`, uncapped
+/// and in discovery order: one tuple per witness, so counting equal tuples
+/// gives each answer's witness count without building any [`Assignment`].
+pub(crate) fn head_rows(q: &ConjunctiveQuery, db: &Database, threads: Option<usize>) -> Vec<Tuple> {
+    let span = qoco_telemetry::span("eval.assignments").field("atoms", q.atoms().len());
+    let seed = Assignment::new();
+    let kernel = Kernel::compile(q, db, &seed);
+    let opts = EvalOptions {
+        max_assignments: usize::MAX,
+        threads,
+    };
+    let (rows, _, tally) = run_search(&kernel, opts);
+    tally.flush();
+    let head: Vec<Operand> = q.head().iter().map(|t| kernel.operand(t)).collect();
+    let heads: Vec<Tuple> = rows
+        .iter()
+        .map(|row| {
+            Tuple::new(
+                head.iter()
+                    .map(|o| match *o {
+                        Operand::Slot(s) => row[s].clone(),
+                        Operand::Const(c) => c.clone(),
+                    })
+                    .collect(),
+            )
+        })
+        .collect();
+    span.field("valid", heads.len())
+        .field("probes", tally.probes)
+        .finish();
+    heads
 }
 
 /// Evaluate `q` over `db`: all valid assignments, default options.
@@ -584,63 +814,47 @@ pub fn assignments_for_answer(q: &ConjunctiveQuery, db: &Database, t: &Tuple) ->
 /// where a thread fan-out would cost more than the whole search.
 pub fn is_satisfiable(q: &ConjunctiveQuery, db: &Database, seed: &Assignment) -> bool {
     let span = qoco_telemetry::span("eval.satisfiable");
-    let order = Search::plan(q, db, seed);
-    let mut s = Search::new(
-        q,
-        db,
-        &order,
-        EvalOptions::default(),
-        /* early_exit */ true,
-        None,
-    );
-    s.descend(0, seed.clone());
-    qoco_telemetry::counter_add("eval.assignments_tried", s.tried);
-    span.field("probes", s.probes)
-        .field("satisfiable", !s.out.is_empty())
+    let kernel = Kernel::compile(q, db, seed);
+    let mut run = Run::new(&kernel, true, usize::MAX, None);
+    run.descend(0);
+    run.tally.flush();
+    let satisfiable = run.out.len > 0;
+    span.field("probes", run.tally.probes)
+        .field("satisfiable", satisfiable)
         .finish();
-    !s.out.is_empty()
+    satisfiable
 }
 
-/// Render the evaluation plan for `q` over `db`: the greedy atom order and,
-/// per step, which terms are bound when the step runs. Useful for
-/// understanding why the engine probes in a particular order.
+/// Render the evaluation plan for `q` over `db` from its compiled steps:
+/// the greedy atom order and, per step, whether it scans or which columns
+/// it probes on (constants and variables bound by earlier steps). Useful
+/// for understanding why the engine probes in a particular order.
 pub fn explain(q: &ConjunctiveQuery, db: &Database) -> String {
-    let order = Search::plan(q, db, &Assignment::new());
-    let mut bound: std::collections::BTreeSet<qoco_query::Var> = Default::default();
-    let mut out = String::new();
-    out.push_str(&format!(
-        "plan for {} ({} atoms):\n",
-        q.name(),
-        q.atoms().len()
-    ));
-    for (step, &idx) in order.iter().enumerate() {
-        let atom = &q.atoms()[idx];
-        let rel_name = db.schema().rel_name(atom.rel);
-        let bound_terms: Vec<String> = atom
-            .terms
+    let seed = Assignment::new();
+    let kernel = Kernel::compile(q, db, &seed);
+    let mut out = format!("plan for {} ({} atoms):\n", q.name(), q.atoms().len());
+    for (i, step) in kernel.steps.iter().enumerate() {
+        let bound: Vec<String> = step
+            .cols
             .iter()
             .enumerate()
-            .filter_map(|(col, term)| match term {
-                Term::Const(c) => Some(format!("col{col}={c}")),
-                Term::Var(v) if bound.contains(v) => Some(format!("col{col}=?{v}")),
-                Term::Var(_) => None,
+            .filter_map(|(col, c)| match *c {
+                Col::Const(value, _) => Some(format!("col{col}={value}")),
+                Col::Check(s) => Some(format!("col{col}=?{}", kernel.vars[s])),
+                Col::Bind(_) | Col::Same(_) => None,
             })
             .collect();
-        let access = if bound_terms.is_empty() {
-            format!("scan ({} tuples)", db.relation(atom.rel).len())
+        let access = if bound.is_empty() {
+            format!("scan ({} tuples)", step.rel.len())
         } else {
-            format!("probe [{}]", bound_terms.join(", "))
+            format!("probe [{}]", bound.join(", "))
         };
-        out.push_str(&format!("  {}. {} — {}\n", step + 1, rel_name, access));
-        for v in atom.vars() {
-            bound.insert(v);
-        }
+        let rel_name = db.schema().rel_name(q.atoms()[step.atom].rel);
+        let _ = writeln!(out, "  {}. {} — {}", i + 1, rel_name, access);
     }
-    if !q.inequalities().is_empty() {
-        out.push_str(&format!(
-            "  filter: {} inequalit(ies)\n",
-            q.inequalities().len()
-        ));
+    let filters: usize = kernel.steps.iter().map(|s| s.ineqs.len()).sum();
+    if filters > 0 {
+        let _ = writeln!(out, "  filter: {filters} inequalit(ies)");
     }
     out
 }
@@ -946,21 +1160,15 @@ mod tests {
             db.insert_named("A", tup![i]).unwrap();
         }
         let q = parse_query(&s, "(x) :- A(x)").unwrap();
-        let order = Search::plan(&q, &db, &Assignment::new());
-        let mut s = Search::new(
-            &q,
-            &db,
-            &order,
-            EvalOptions::default(),
-            /* early_exit */ true,
-            None,
-        );
-        s.descend(0, Assignment::new());
-        assert_eq!(s.out.len(), 1, "early exit keeps exactly one witness");
+        let seed = Assignment::new();
+        let kernel = Kernel::compile(&q, &db, &seed);
+        let mut run = Run::new(&kernel, /* early_exit */ true, usize::MAX, None);
+        run.descend(0);
+        assert_eq!(run.out.len, 1, "early exit keeps exactly one witness");
         assert!(
-            s.tried < 100,
+            run.tally.tried < 100,
             "early exit must not scan all candidates (tried {})",
-            s.tried
+            run.tally.tried
         );
     }
 

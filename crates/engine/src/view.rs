@@ -41,7 +41,7 @@ use qoco_data::{Database, Edit, EditKind, Fact, Tuple};
 use qoco_query::{Atom, ConjunctiveQuery, Inequality, Term};
 
 use crate::assignment::Assignment;
-use crate::eval::{all_assignments, is_satisfiable, EvalOptions};
+use crate::eval::{all_assignments, head_rows, is_satisfiable, EvalOptions};
 
 /// Answers that appeared and disappeared after an edit.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -151,12 +151,8 @@ impl MaterializedView {
     /// the correctness oracle for tests. Counted in `view.full_refreshes`.
     pub fn refresh(&mut self, db: &Database) -> ViewDelta {
         qoco_telemetry::counter_add("view.full_refreshes", 1);
-        let result = all_assignments(&self.query, db, &Assignment::new(), self.opts);
         let mut fresh: BTreeMap<Tuple, u64> = BTreeMap::new();
-        for a in &result.assignments {
-            let head = a
-                .ground_head(&self.query)
-                .expect("valid assignments are total");
+        for head in head_rows(&self.query, db, self.opts.threads) {
             *fresh.entry(head).or_insert(0) += 1;
         }
         let added = fresh

@@ -6,9 +6,10 @@
 
 use std::sync::Arc;
 
+use qoco_data::Value;
 use qoco_data::{tup, Database, Schema};
 use qoco_engine::{all_assignments, Assignment, EvalOptions};
-use qoco_query::{parse_query, ConjunctiveQuery};
+use qoco_query::{parse_query, ConjunctiveQuery, Var};
 use qoco_telemetry::InMemoryCollector;
 
 /// A join whose top-level candidate list clears the engine's parallel
@@ -25,6 +26,38 @@ fn wide_workload() -> (Database, ConjunctiveQuery) {
         db.insert_named("B", tup![i, i % 3]).unwrap();
     }
     let q = parse_query(&s, "(x, y) :- A(x, g), B(y, g)").unwrap();
+    (db, q)
+}
+
+/// The Figure 1 World Cup instance (Games and Teams) and Q1.
+fn figure1() -> (Database, ConjunctiveQuery) {
+    let s = Schema::builder()
+        .relation("Games", &["date", "winner", "runner_up", "stage", "result"])
+        .relation("Teams", &["country", "continent"])
+        .build()
+        .unwrap();
+    let mut db = Database::empty(s.clone());
+    for (d, w, r, u) in [
+        ("13.07.14", "GER", "ARG", "1:0"),
+        ("11.07.10", "ESP", "NED", "1:0"),
+        ("09.07.06", "ITA", "FRA", "5:3"),
+        ("30.06.02", "BRA", "GER", "2:0"),
+        ("12.07.98", "ESP", "NED", "4:2"),
+        ("17.07.94", "ESP", "NED", "3:1"),
+        ("08.07.90", "GER", "ARG", "1:0"),
+        ("11.07.82", "ITA", "GER", "4:1"),
+        ("25.06.78", "ESP", "NED", "1:0"),
+    ] {
+        db.insert_named("Games", tup![d, w, r, "Final", u]).unwrap();
+    }
+    for (c, k) in [("GER", "EU"), ("ESP", "EU"), ("BRA", "EU"), ("NED", "SA")] {
+        db.insert_named("Teams", tup![c, k]).unwrap();
+    }
+    let q = parse_query(
+        &s,
+        r#"Q1(x) :- Games(d1, x, y, "Final", u1), Games(d2, x, z, "Final", u2), Teams(x, "EU"), d1 != d2."#,
+    )
+    .unwrap();
     (db, q)
 }
 
@@ -47,6 +80,49 @@ fn run_session(threads: usize) -> (u64, usize, Vec<qoco_telemetry::SpanRecord>) 
         .counter("eval.assignments_tried");
     drop(session);
     (tried, result.assignments.len(), collector.spans())
+}
+
+/// One evaluation under a fresh session: (`eval.assignments_tried`,
+/// `eval.probe_hits`, valid assignments).
+fn search_counters(
+    db: &Database,
+    q: &ConjunctiveQuery,
+    seed: &Assignment,
+    threads: usize,
+) -> (u64, u64, usize) {
+    let collector = Arc::new(InMemoryCollector::new());
+    let session = qoco_telemetry::session(collector);
+    let result = all_assignments(q, db, seed, opts(threads));
+    let metrics = qoco_telemetry::metrics().snapshot();
+    drop(session);
+    (
+        metrics.counter("eval.assignments_tried"),
+        metrics.counter("eval.probe_hits"),
+        result.assignments.len(),
+    )
+}
+
+/// The search itself is pinned: candidates examined and non-empty index
+/// probes are the counts the engine produced before evaluations were
+/// compiled into a slot-based kernel. A change to atom order, probe-column
+/// choice, pruning or the parallel split moves them.
+#[test]
+fn search_counters_are_pinned() {
+    let (db, q) = wide_workload();
+    for threads in [1, 8] {
+        assert_eq!(
+            search_counters(&db, &q, &Assignment::new(), threads),
+            (1260, 60, 1200),
+            "wide workload, threads={threads}"
+        );
+    }
+    let (db, q) = figure1();
+    let esp = Assignment::from_pairs([(Var::new("x"), Value::text("ESP"))]);
+    assert_eq!(
+        search_counters(&db, &q, &esp, 1),
+        (21, 6, 12),
+        "Figure 1 Q1 seeded with x = ESP"
+    );
 }
 
 #[test]

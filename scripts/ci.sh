@@ -42,6 +42,21 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== cargo fmt --check =="
 cargo fmt --all --check
 
+echo "== figures: question counts match the committed golden =="
+# Crowd cost is the paper's primary metric, so every figure's count table
+# is a gate: a change that moves any count must update
+# scripts/figures.golden on purpose. The timed phase breakdown (`phases`)
+# and the per-target `[generated in …]` lines measure the host, not the
+# algorithms, and are left out.
+figure_targets="fig3a fig3b fig3c fig3d fig3e fig3f fig4 dbgroup ablation-hs \
+ablation-umhs ablation-heur ablation-composite sweep-clean sweep-error watch"
+# shellcheck disable=SC2086 # the target list splits into arguments
+cargo run -q --release -p qoco-bench --bin figures -- $figure_targets \
+  | grep -v '^  \[generated in' \
+  | diff -u scripts/figures.golden - \
+  || { echo "figures: counts differ from scripts/figures.golden (diff above)" >&2; exit 1; }
+echo "figure counts match scripts/figures.golden: OK"
+
 echo "== telemetry smoke-run =="
 # the quickstart example must run clean...
 cargo run --release --example quickstart > /dev/null

@@ -1,7 +1,8 @@
 //! Property tests for the extension modules: parser round-trips on
-//! generated queries, group-testing correctness, view-monitor equivalence
-//! with full recomputation, constraint-repair soundness, TSV persistence
-//! round-trips and JSON string round-trips.
+//! generated queries, seeded evaluation against brute force, group-testing
+//! correctness, view-monitor equivalence with full recomputation,
+//! constraint-repair soundness, TSV persistence round-trips and JSON string
+//! round-trips.
 
 use std::collections::BTreeSet;
 
@@ -10,7 +11,9 @@ use proptest::prelude::*;
 use qoco::core::find_false_facts;
 use qoco::crowd::{PerfectOracle, SingleExpert};
 use qoco::data::{load_dir, save_dir, tup, Database, Edit, Fact, Schema, Value};
-use qoco::engine::{answer_set, ViewMonitor};
+use qoco::engine::{
+    all_assignments, answer_set, is_satisfiable, Assignment, EvalOptions, ViewMonitor,
+};
 use qoco::query::{parse_query, Atom, ConjunctiveQuery, Inequality, Term, UnionQuery, Var};
 use qoco::telemetry::json::{push_json_str, Json};
 
@@ -101,8 +104,134 @@ fn db_strategy(max: usize) -> impl Strategy<Value = Database> {
     })
 }
 
+/// A database over a wider domain than [`DOMAIN`] (query constants still
+/// come from it), so a root scan of `E` often clears the engine's parallel
+/// fan-out threshold.
+fn wide_db_strategy() -> impl Strategy<Value = Database> {
+    let e_facts = proptest::collection::vec((0..8usize, 0..8usize), 0..64);
+    let l_facts = proptest::collection::vec(0..8usize, 0..8);
+    (e_facts, l_facts).prop_map(|(es, ls)| {
+        let value = |i: usize| format!("v{i}");
+        let mut db = Database::empty(small_schema());
+        for (a, b) in es {
+            db.insert_named("E", tup![value(a), value(b)]).unwrap();
+        }
+        for a in ls {
+            db.insert_named("L", tup![value(a)]).unwrap();
+        }
+        db
+    })
+}
+
+/// Strategy: a partial assignment over the generator's variables (some may
+/// not occur in the query), each bound with probability 1/4 to a domain
+/// value or to one value no fact carries.
+fn seed_strategy() -> impl Strategy<Value = Assignment> {
+    proptest::collection::vec(0..20usize, VARS.len()).prop_map(|codes| {
+        Assignment::from_pairs(
+            VARS.iter()
+                .zip(codes)
+                .filter(|(_, c)| *c < 5)
+                .map(|(v, c)| {
+                    let value = DOMAIN.get(c).map_or_else(|| Value::text("v9"), Value::text);
+                    (Var::new(v), value)
+                }),
+        )
+    })
+}
+
+/// Every total assignment of `q` over [`DOMAIN`] that extends `seed` and is
+/// valid in `db`, sorted: the list the engine must enumerate exactly.
+fn brute_force_assignments(
+    q: &ConjunctiveQuery,
+    db: &Database,
+    seed: &Assignment,
+) -> Vec<Assignment> {
+    let free: Vec<Var> = q
+        .vars()
+        .into_iter()
+        .filter(|v| seed.get(v).is_none())
+        .collect();
+    let mut out = Vec::new();
+    for code in 0..DOMAIN.len().pow(free.len() as u32) {
+        let mut asg = seed.clone();
+        let mut rem = code;
+        for v in &free {
+            asg.bind(v.clone(), Value::text(DOMAIN[rem % DOMAIN.len()]));
+            rem /= DOMAIN.len();
+        }
+        let atoms_ok = q
+            .atoms()
+            .iter()
+            .all(|a| asg.ground_atom(a).is_some_and(|f| db.contains(&f)));
+        let ineqs_ok = q
+            .inequalities()
+            .iter()
+            .all(|e| asg.check_inequality(e) == Some(true));
+        if atoms_ok && ineqs_ok {
+            out.push(asg);
+        }
+    }
+    out.sort();
+    out
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Seeded enumeration over generated queries — repeated variables,
+    /// constants, self-joins and inequalities — yields exactly the valid
+    /// total assignments extending the seed, and satisfiability agrees
+    /// with that list being non-empty. Each case tries the generated seed
+    /// and a restriction of one valid assignment (so seeded results are
+    /// often non-empty).
+    #[test]
+    fn seeded_evaluation_matches_brute_force(
+        q in query_strategy(),
+        db in db_strategy(16),
+        seed in seed_strategy(),
+        pick in 0..64usize,
+        mask in 0..16usize,
+    ) {
+        let mut seeds = vec![seed];
+        let valid = brute_force_assignments(&q, &db, &Assignment::new());
+        if !valid.is_empty() {
+            let restricted = valid[pick % valid.len()]
+                .iter()
+                .enumerate()
+                .filter(|(i, _)| mask & (1 << i) != 0)
+                .map(|(_, (v, value))| (v.clone(), value.clone()));
+            seeds.push(Assignment::from_pairs(restricted));
+        }
+        for seed in &seeds {
+            let expected = brute_force_assignments(&q, &db, seed);
+            let got = all_assignments(&q, &db, seed, EvalOptions::default());
+            prop_assert!(!got.truncated);
+            prop_assert_eq!(&got.assignments, &expected, "seed {:?}", seed);
+            prop_assert_eq!(is_satisfiable(&q, &db, seed), !expected.is_empty(), "seed {:?}", seed);
+        }
+    }
+
+    /// A capped evaluation keeps the same assignments, in the same order,
+    /// and the same `truncated` flag at every thread count.
+    #[test]
+    fn capped_evaluation_is_identical_across_thread_counts(
+        q in query_strategy(),
+        db in wide_db_strategy(),
+        seed in seed_strategy(),
+        cap in 1usize..20,
+    ) {
+        for seed in [Assignment::new(), seed] {
+            let at = |threads: usize| {
+                let opts = EvalOptions { max_assignments: cap, threads: Some(threads) };
+                all_assignments(&q, &db, &seed, opts)
+            };
+            let sequential = at(1);
+            for threads in [2usize, 8] {
+                prop_assert_eq!(&at(threads), &sequential, "threads={}", threads);
+            }
+        }
+    }
 
     #[test]
     fn parser_round_trips_generated_queries(q in query_strategy()) {
