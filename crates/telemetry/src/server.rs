@@ -32,7 +32,7 @@
 //! else gets a deterministic `qr-N` from a per-listener counter seeded by
 //! [`ServerOptions::request_id_seed`]. The id is echoed back as an
 //! `X-Request-Id` response header, stamped on the request's
-//! `serve.request` span, marked current on the connection thread (see
+//! `serve.request` span, marked current on the serving worker (see
 //! [`crate::begin_request`]) so the machine step, journal and decision
 //! layers underneath can tag their records with it, and written to the
 //! structured access log ([`ServerOptions::access_log`]) together with
@@ -43,9 +43,15 @@
 //!
 //! ## Robustness
 //!
-//! Connections are served one thread each, with an in-flight cap: excess
-//! connections are shed immediately with `429` (counted in
-//! `serve.rejected`) instead of queueing behind a stalled peer. Each
+//! Connections are served by a pool of reused worker threads fed from one
+//! queue. The pool grows lazily, one worker per connection that is queued
+//! or being served, so it never holds more than the in-flight cap
+//! ([`ServerOptions::max_connections`]) threads and spawns none once it is
+//! warm. Excess connections are shed immediately with `429` (counted in
+//! `serve.rejected`) instead of queueing behind a stalled peer. A handler
+//! that panics kills its worker, not the pool: the connection's slot and
+//! `serve.inflight` are released on unwinding, and the next connection
+//! gets a fresh worker. Each
 //! connection gets a *wall-clock* deadline for its whole request head — a
 //! slow-loris client dripping one byte per second is cut off with `408`
 //! when the deadline lapses, even though no single `read()` ever times
@@ -60,7 +66,8 @@
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc::{self, Receiver};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -113,7 +120,7 @@ impl HttpResponse {
 }
 
 /// Pluggable routes consulted for requests the built-in routes do not
-/// claim. Handlers run on the per-connection thread and must be
+/// claim. Handlers run on the pool's worker threads and must be
 /// `Send + Sync`; return `None` to fall through to the 404.
 pub trait RouteHandler: Send + Sync {
     /// Answer `req`, or `None` if this handler does not own the route.
@@ -162,7 +169,8 @@ impl Default for ServerOptions {
 }
 
 /// A running metrics endpoint; see the module docs. Dropping it stops the
-/// accept loop and joins the serving thread.
+/// accept loop and joins the serving thread; the workers finish the
+/// connections already accepted, then exit.
 pub struct MetricsServer {
     addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
@@ -184,10 +192,15 @@ impl MetricsServer {
         let addr = listener.local_addr()?;
         let shutdown = Arc::new(AtomicBool::new(false));
         let flag = shutdown.clone();
-        let started = Instant::now();
-        let options = Arc::new(options);
-        let in_flight = Arc::new(AtomicUsize::new(0));
-        let request_ids = Arc::new(AtomicU64::new(options.request_id_seed));
+        let (queue, pending) = mpsc::channel();
+        let pool = Arc::new(Pool {
+            started: Instant::now(),
+            request_ids: AtomicU64::new(options.request_id_seed),
+            options,
+            in_flight: AtomicUsize::new(0),
+            workers: AtomicUsize::new(0),
+            pending: Mutex::new(pending),
+        });
         let handle = std::thread::Builder::new()
             .name("qoco-metrics".to_string())
             .spawn(move || {
@@ -195,41 +208,26 @@ impl MetricsServer {
                     if flag.load(Ordering::Relaxed) {
                         break;
                     }
-                    let Ok(mut stream) = conn else { continue };
-                    // Shed before spawning: a stalled peer holds a slot,
+                    let Ok(stream) = conn else { continue };
+                    // Shed before queueing: a stalled peer holds a slot,
                     // it must not hold the accept loop.
-                    let live = in_flight.fetch_add(1, Ordering::SeqCst);
-                    if live >= options.max_connections {
-                        in_flight.fetch_sub(1, Ordering::SeqCst);
-                        crate::counter_add("serve.rejected", 1);
-                        crate::counter_add("serve.rejected.cap", 1);
-                        let received = Instant::now();
-                        let rid = next_request_id(&request_ids);
-                        let resp = HttpResponse::text(
-                            "429 Too Many Requests",
-                            "connection limit reached, retry later\n".to_string(),
-                        );
-                        let _ = stream.set_write_timeout(Some(Duration::from_secs(2)));
-                        let _ = write_response(&mut stream, &resp, Some(&rid));
-                        drain_unread(&mut stream);
-                        log_access(&options, received, &rid, "-", "-", &resp, None);
+                    let live = pool.in_flight.fetch_add(1, Ordering::SeqCst) + 1;
+                    if live > pool.options.max_connections {
+                        pool.in_flight.fetch_sub(1, Ordering::SeqCst);
+                        shed(stream, &pool);
                         continue;
                     }
-                    let options = options.clone();
-                    let slot = in_flight.clone();
-                    let ids = request_ids.clone();
-                    let spawned = std::thread::Builder::new()
-                        .name("qoco-serve-conn".to_string())
-                        .spawn(move || {
-                            crate::gauge_add("serve.inflight", 1.0);
-                            let _ = serve_one(stream, started, &options, &ids);
-                            crate::gauge_add("serve.inflight", -1.0);
-                            slot.fetch_sub(1, Ordering::SeqCst);
-                        });
-                    if spawned.is_err() {
-                        in_flight.fetch_sub(1, Ordering::SeqCst);
+                    // One worker per queued or served connection, so none
+                    // waits behind a busy peer. A failed spawn leaves the
+                    // connection queued for the next free or new worker.
+                    if pool.workers.load(Ordering::SeqCst) < live {
+                        spawn_worker(&pool);
                     }
+                    // Cannot fail: the pool holds the receiving end.
+                    let _ = queue.send(stream);
                 }
+                // Dropping `queue` here lets every worker finish what is
+                // queued and exit.
             })?;
         Ok(MetricsServer {
             addr,
@@ -253,6 +251,97 @@ impl Drop for MetricsServer {
             let _ = handle.join();
         }
     }
+}
+
+/// What the accept loop shares with the workers: the options, the id
+/// counter, the slot and worker counts, and the queue of accepted
+/// connections.
+struct Pool {
+    options: ServerOptions,
+    started: Instant,
+    request_ids: AtomicU64,
+    /// Connections accepted and not yet finished, queued or being served;
+    /// at most `options.max_connections`.
+    in_flight: AtomicUsize,
+    /// Live worker threads. The accept loop spawns one only while this is
+    /// below `in_flight`, so it never exceeds `options.max_connections`.
+    workers: AtomicUsize,
+    /// The queue's receiving end. An idle worker blocks in `recv` while
+    /// holding the lock; the others wait on the lock.
+    pending: Mutex<Receiver<TcpStream>>,
+}
+
+/// Answer a connection over the cap with `429` from the accept loop.
+fn shed(mut stream: TcpStream, pool: &Pool) {
+    crate::counter_add("serve.rejected", 1);
+    crate::counter_add("serve.rejected.cap", 1);
+    let received = Instant::now();
+    let rid = next_request_id(&pool.request_ids);
+    let resp = HttpResponse::text(
+        "429 Too Many Requests",
+        "connection limit reached, retry later\n".to_string(),
+    );
+    let _ = stream.set_write_timeout(Some(Duration::from_secs(2)));
+    let _ = write_response(&mut stream, &resp, Some(&rid));
+    drain_unread(&mut stream);
+    log_access(&pool.options, received, &rid, "-", "-", &resp, None);
+}
+
+/// Add one worker thread to the pool.
+fn spawn_worker(pool: &Arc<Pool>) {
+    pool.workers.fetch_add(1, Ordering::SeqCst);
+    let shared = pool.clone();
+    let spawned = std::thread::Builder::new()
+        .name("qoco-serve-conn".to_string())
+        .spawn(move || work(&shared));
+    if spawned.is_err() {
+        pool.workers.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
+/// A worker's loop: serve queued connections one at a time until the
+/// listener shuts down.
+fn work(pool: &Pool) {
+    let mut worker = Worker {
+        pool,
+        serving: false,
+    };
+    loop {
+        let next = pool
+            .pending
+            .lock()
+            .unwrap_or_else(|p| p.into_inner())
+            .recv();
+        let Ok(stream) = next else { break };
+        crate::gauge_add("serve.inflight", 1.0);
+        worker.serving = true;
+        let _ = serve_one(stream, pool.started, &pool.options, &pool.request_ids);
+        worker.serving = false;
+        release_slot(pool);
+    }
+}
+
+/// One worker's place in the pool. Dropped by a handler panic, it gives up
+/// the worker place *before* the connection's slot: the accept loop then
+/// never sees a freed slot while still counting the dead worker, and
+/// spawns a replacement for the next connection.
+struct Worker<'a> {
+    pool: &'a Pool,
+    serving: bool,
+}
+
+impl Drop for Worker<'_> {
+    fn drop(&mut self) {
+        self.pool.workers.fetch_sub(1, Ordering::SeqCst);
+        if self.serving {
+            release_slot(self.pool);
+        }
+    }
+}
+
+fn release_slot(pool: &Pool) {
+    crate::gauge_add("serve.inflight", -1.0);
+    pool.in_flight.fetch_sub(1, Ordering::SeqCst);
 }
 
 /// A request line longer than this (with no line break in sight) is cut
@@ -815,6 +904,24 @@ fn requests_body() -> String {
     out
 }
 
+/// The request [`crate::begin_request`] opened on this worker. Ended on
+/// every exit, a handler panic included, so no dead request lingers in the
+/// in-flight inspector.
+struct OpenRequest(Option<u64>);
+
+impl OpenRequest {
+    /// End the request now and return its final in-flight entry.
+    fn finish(&mut self) -> Option<crate::InflightRequest> {
+        self.0.take().and_then(crate::end_request)
+    }
+}
+
+impl Drop for OpenRequest {
+    fn drop(&mut self) {
+        self.finish();
+    }
+}
+
 /// Handle one connection: read the request, answer, close. Every path —
 /// reject or dispatch — counts its RED metrics, echoes the request id,
 /// and leaves an access-log line.
@@ -858,10 +965,14 @@ fn serve_one(
     if req.request_id.is_empty() {
         req.request_id = next_request_id(ids);
     }
-    // Mark the connection thread: everything the handler does underneath —
+    // Mark the worker thread: everything the handler does underneath —
     // the machine step, the journal append, the decision dispatch — can
     // now tag its records with this request id.
-    let token = crate::begin_request(&req.request_id, &req.method, &req.route);
+    let mut request = OpenRequest(Some(crate::begin_request(
+        &req.request_id,
+        &req.method,
+        &req.route,
+    )));
     let mut span = crate::span("serve.request")
         .field("request", &req.request_id)
         .field("method", &req.method)
@@ -921,7 +1032,8 @@ fn serve_one(
         received.elapsed().as_nanos() as u64,
     );
     let out = write_response(&mut stream, &response, Some(&req.request_id));
-    let session = crate::end_request(token)
+    let session = request
+        .finish()
         .and_then(|r| r.session)
         .or_else(|| session_from_route(&req.route));
     span.finish();

@@ -469,6 +469,15 @@ grep -q 'ci-audit-8' "$work/serve-tele-2.jsonl" \
 # the in-flight inspector answers while the server is live
 curl -sf "http://$saddr/api/requests" | grep -q '"requests":' \
   || { echo "serve: /api/requests returned no inspector body" >&2; exit 1; }
+# every connection slot came back: a scrape sees only itself in flight (a
+# few tries, since the previous request's worker may still be releasing)
+inflight_ok=""
+for _ in $(seq 1 10); do
+  curl -sf "http://$saddr/metrics" | grep -qx 'qoco_serve_inflight 1' && { inflight_ok=1; break; }
+  sleep 0.1
+done
+[ -n "$inflight_ok" ] \
+  || { echo "serve: serve.inflight is not 1 during a lone scrape (leaked slots)" >&2; exit 1; }
 # qoco-cli explain answers "which request caused this crowd question"
 ./target/release/qoco-cli explain "$serve_store/s2/session.journal" \
   > "$work/serve-explain.txt"

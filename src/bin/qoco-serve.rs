@@ -31,7 +31,7 @@ use qoco::crowd::{tagged_value, Answer, Oracle, PerfectOracle};
 use qoco::serve::{figure1_ground, figure1_spec, ServeOptions, SessionRegistry};
 use qoco_core::SessionStore;
 use qoco_telemetry::json::Json;
-use qoco_telemetry::{MetricsServer, ServerOptions};
+use qoco_telemetry::{Collector, EventRecord, MetricsServer, ServerOptions, SpanRecord};
 
 fn usage() -> ! {
     eprintln!(
@@ -64,6 +64,15 @@ fn flag_value<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
         .map(String::as_str)
 }
 
+/// A sink that retains nothing: installing it turns counters and gauges on
+/// without keeping any span, event or decision.
+struct Discard;
+
+impl Collector for Discard {
+    fn record_span(&self, _: &SpanRecord) {}
+    fn record_event(&self, _: &EventRecord) {}
+}
+
 fn cmd_serve(args: &[String]) -> Result<(), String> {
     let addr = flag_value(args, "--addr").unwrap_or("127.0.0.1:0");
     let store_dir = flag_value(args, "--store").ok_or("serve needs --store DIR")?;
@@ -80,19 +89,18 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         .map_err(|_| "--reap-interval-ms must be an integer")?;
 
     // Counters and gauges (sessions.parked, serve.rejected, …) only record
-    // under an installed telemetry session; sink the events in memory, and
-    // — with --telemetry — stream them to a JSONL file whose per-line
-    // flushes survive a kill -9.
-    let mut sinks: Vec<std::sync::Arc<dyn qoco_telemetry::Collector>> =
-        vec![std::sync::Arc::new(qoco_telemetry::InMemoryCollector::new())];
-    if let Some(path) = flag_value(args, "--telemetry") {
-        let jsonl = qoco_telemetry::JsonlCollector::create_write_through(path)
-            .map_err(|e| format!("cannot open telemetry log {path}: {e}"))?;
-        sinks.push(std::sync::Arc::new(jsonl));
-    }
-    let _telemetry = qoco_telemetry::session(std::sync::Arc::new(
-        qoco_telemetry::FanoutCollector::new(sinks),
-    ));
+    // under an installed telemetry session. With --telemetry the session
+    // streams its spans, events and decisions to a JSONL file whose
+    // per-line flushes survive a kill -9; without it they are discarded,
+    // because a long-running server must not retain a record per request.
+    let sink: std::sync::Arc<dyn Collector> = match flag_value(args, "--telemetry") {
+        Some(path) => std::sync::Arc::new(
+            qoco_telemetry::JsonlCollector::create_write_through(path)
+                .map_err(|e| format!("cannot open telemetry log {path}: {e}"))?,
+        ),
+        None => std::sync::Arc::new(Discard),
+    };
+    let _telemetry = qoco_telemetry::session(sink);
 
     // A server is long-running, so the qoco-watch sampler is on by
     // default: it is what feeds the `/dashboard` route sparklines and the

@@ -291,3 +291,37 @@ fn the_reaper_expires_abandoned_sessions_into_partial_reports() {
     drop(server);
     let _ = std::fs::remove_dir_all(&store);
 }
+
+#[test]
+fn serving_many_requests_keeps_the_servers_memory_flat() {
+    let store = tmp_store("rss");
+    let server = Server::start(&store, &[]);
+    let status_path = format!("/proc/{}/status", server.child.id());
+    let rss_kb = || -> u64 {
+        let status = std::fs::read_to_string(&status_path).expect("child /proc status");
+        status
+            .lines()
+            .find_map(|l| l.strip_prefix("VmRSS:"))
+            .and_then(|v| v.trim().trim_end_matches("kB").trim().parse().ok())
+            .expect("VmRSS line")
+    };
+    // an unknown session's pending question: a 404 through the registry
+    let request = || {
+        let (status, _) = server.http("GET", "/sessions/s9/pending", "");
+        assert_eq!(status, "404 Not Found");
+    };
+    for _ in 0..500 {
+        request();
+    }
+    let warm = rss_kb();
+    for _ in 0..5_000 {
+        request();
+    }
+    let grown = rss_kb().saturating_sub(warm);
+    assert!(
+        grown < 1024,
+        "5,000 requests grew the server's RSS by {grown} kB (from {warm} kB)"
+    );
+    drop(server);
+    let _ = std::fs::remove_dir_all(&store);
+}
