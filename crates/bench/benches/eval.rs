@@ -3,7 +3,7 @@
 //! Two parts:
 //! 1. criterion-style micro-benchmarks on the paper-scale soccer database
 //!    (answer-set computation and witness extraction for Q1–Q5);
-//! 2. the size × thread-count scaling sweep from [`qoco_bench::scaling`]
+//! 2. the size scaling sweep from [`qoco_bench::scaling`]
 //!    (shared with the `qoco-bench regressions` gate), writing the
 //!    measurements to `BENCH_eval.json` at the repository root.
 
@@ -47,18 +47,8 @@ fn main() {
     let samples = scaling_sweep(&SweepConfig::full());
     for s in &samples {
         println!(
-            "eval_scaling/{}/n={}/{}{}  {:>12.0} ns/iter  ({} iters, {} assignments)",
-            s.workload,
-            s.size,
-            s.engine,
-            if s.engine == "current" {
-                format!("/t={}", s.threads)
-            } else {
-                String::new()
-            },
-            s.mean_ns,
-            s.iters,
-            s.assignments
+            "eval_scaling/{}/n={}/{}  {:>12.0} ns/iter  ({} iters, {} assignments)",
+            s.workload, s.size, s.engine, s.mean_ns, s.iters, s.assignments
         );
     }
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_eval.json");

@@ -15,8 +15,8 @@
 //!   write folded stacks (or a flamegraph SVG with an `.svg` `--out`).
 //!   `profile --diff BASE HEAD` compares two folded files frame by frame.
 //! * `validate-trace FILE` — structurally validate an exported Chrome
-//!   trace (array or object form), requiring `--min-tracks N` distinct
-//!   thread tracks (default 2) and any `--require-span NAME` spans.
+//!   trace (array or object form), requiring any `--require-span NAME`
+//!   spans.
 //! * `validate-flamegraph FILE` — structurally validate a flamegraph SVG
 //!   (frame groups, tooltips, in-canvas rects), requiring any
 //!   `--require-frame NAME` frames.
@@ -45,9 +45,7 @@ use std::time::{Duration, SystemTime, UNIX_EPOCH};
 use qoco_bench::decision_check::validate_decisions;
 use qoco_bench::flame_check::validate_flamegraph;
 use qoco_bench::profile_cmd::{profile_cell, render_diff, top_frames_line};
-use qoco_bench::regressions::{
-    baseline_host_parallelism, compare, load_baseline, DEFAULT_THRESHOLD,
-};
+use qoco_bench::regressions::{compare, load_baseline, DEFAULT_THRESHOLD};
 use qoco_bench::scaling::{scaling_sweep, SweepConfig};
 use qoco_bench::trace_check::validate_trace;
 use qoco_bench::watch_replay::replay;
@@ -60,11 +58,11 @@ fn repo_path(file: &str) -> String {
 fn usage() -> ExitCode {
     eprintln!(
         "usage: qoco-bench regressions [--quick] [--check] [--attribute] [--threshold X] \
-         [--baseline FILE] [--inject-slowdown workload/size/engine/threads=FACTOR]\n       \
-         qoco-bench profile workload/size/current/threads [--out FILE.folded|FILE.svg] \
+         [--baseline FILE] [--inject-slowdown workload/size/engine=FACTOR]\n       \
+         qoco-bench profile workload/size/current [--out FILE.folded|FILE.svg] \
          [--interval-us N] [--budget-ms N]\n       \
          qoco-bench profile --diff BASE.folded HEAD.folded [--min-delta PCT]\n       \
-         qoco-bench validate-trace FILE [--min-tracks N] [--require-span NAME]...\n       \
+         qoco-bench validate-trace FILE [--require-span NAME]...\n       \
          qoco-bench validate-flamegraph FILE [--require-frame NAME]...\n       \
          qoco-bench validate-decisions FILE [--require-kind NAME]...\n       \
          qoco-bench validate-sessions\n       \
@@ -297,19 +295,6 @@ fn run_regressions(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    // A warning, not a gate: the ±25% threshold absorbs scheduler noise,
-    // but not a baseline recorded on a machine with a different core
-    // count — flag that so a surprising verdict is interpretable.
-    if let Some(recorded) = baseline_host_parallelism(&baseline_text) {
-        let local = host_parallelism() as u64;
-        if recorded != local {
-            eprintln!(
-                "warning: baseline was recorded with host_parallelism={recorded}, \
-                 this machine has {local}; thread-scaling cells may not be comparable"
-            );
-        }
-    }
-
     let config = if quick {
         SweepConfig::quick()
     } else {
@@ -317,10 +302,9 @@ fn run_regressions(args: &[String]) -> ExitCode {
     };
     let mode = if quick { "quick" } else { "full" };
     eprintln!(
-        "measuring {mode} sweep ({} eval sizes × {} thread counts, 2 eval workloads \
-         + cleaning_sweep at {} sizes)…",
+        "measuring {mode} sweep ({} eval sizes, 2 eval workloads + cleaning_sweep \
+         at {} sizes)…",
         config.sizes.len(),
-        config.threads.len(),
         config.cleaning_sizes.len()
     );
     let mut samples = scaling_sweep(&config);
@@ -543,16 +527,11 @@ fn run_validate_flamegraph(args: &[String]) -> ExitCode {
 
 fn run_validate_trace(args: &[String]) -> ExitCode {
     let mut file = None;
-    let mut min_tracks = 2usize;
     let mut require_spans = Vec::new();
 
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--min-tracks" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(v) => min_tracks = v,
-                None => return usage(),
-            },
             "--require-span" => match it.next() {
                 Some(v) => require_spans.push(v.clone()),
                 None => return usage(),
@@ -570,7 +549,7 @@ fn run_validate_trace(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    match validate_trace(&text, min_tracks, &require_spans) {
+    match validate_trace(&text, &require_spans) {
         Ok(summary) => {
             println!(
                 "{file}: valid Chrome trace — {} complete events on {} thread tracks, {} span names",

@@ -143,7 +143,7 @@ mod tests {
 
     fn rendered() -> String {
         let mut p = Profile::default();
-        p.record("clean.session;eval.assignments;eval.par_chunk", 40);
+        p.record("clean.session;eval.assignments;eval.satisfiable", 40);
         p.record("clean.session;eval.assignments", 10);
         p.record("clean.session;split.compute", 25);
         p.flamegraph_svg("test profile")
@@ -153,7 +153,7 @@ mod tests {
     fn accepts_the_renderer_output() {
         let summary = validate_flamegraph(&rendered(), &[]).unwrap();
         assert_eq!(summary.frames, 4);
-        assert!(summary.frame_names.contains("eval.par_chunk"));
+        assert!(summary.frame_names.contains("eval.satisfiable"));
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! need the same thing: run a named cell of the eval sweep (see
 //! [`crate::scaling`]) in a loop under [`qoco_telemetry::Profiler`] and
 //! fold the samples, so a ±25% gate failure can be localized to a phase
-//! (`eval.par_chunk`, `eval.assignments`, …) instead of a whole cell.
+//! (`eval.assignments`, `view.apply_edit`, …) instead of a whole cell.
 //!
 //! The `--inject-slowdown` plumbing multiplies a *recorded mean* after
 //! measurement — a number, not work, so a profile would never see it. For
@@ -17,12 +17,12 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use qoco_data::Edit;
-use qoco_engine::{all_assignments, answer_set, Assignment, EvalOptions, MaterializedView};
+use qoco_engine::{answer_set, evaluate, MaterializedView};
 use qoco_telemetry::{diff_profiles, InMemoryCollector, Profile, Profiler};
 
 use crate::scaling::{cleaning_cycle_facts, dense_workload, selective_workload};
 
-/// A parsed `workload/size/engine/threads` cell key.
+/// A parsed `workload/size/engine` cell key.
 pub struct CellSpec {
     /// `"selective"`, `"dense"` or `"cleaning_sweep"`.
     pub workload: &'static str,
@@ -31,19 +31,17 @@ pub struct CellSpec {
     /// `"current"` for the eval workloads, `"view"` or `"fullre"` for
     /// `cleaning_sweep`.
     pub engine: &'static str,
-    /// Thread count for the eval.
-    pub threads: usize,
 }
 
-/// Parse a sweep cell key (e.g. `selective/1000/current/2` or
-/// `cleaning_sweep/1000/view/1`). The seed engine cannot be profiled: it
+/// Parse a sweep cell key (e.g. `selective/1000/current` or
+/// `cleaning_sweep/1000/view`). The seed engine cannot be profiled: it
 /// is a frozen calibration artifact with no span instrumentation, so its
 /// profile would be empty.
 pub fn parse_cell(key: &str) -> Result<CellSpec, String> {
     let parts: Vec<&str> = key.split('/').collect();
-    let [workload, size, engine, threads] = parts[..] else {
+    let [workload, size, engine] = parts[..] else {
         return Err(format!(
-            "cell `{key}` is not of the form workload/size/engine/threads"
+            "cell `{key}` is not of the form workload/size/engine"
         ));
     };
     let (workload, engine) = match (workload, engine) {
@@ -71,17 +69,13 @@ pub fn parse_cell(key: &str) -> Result<CellSpec, String> {
     let size: usize = size
         .parse()
         .map_err(|_| format!("cell size `{size}` is not a number"))?;
-    let threads: usize = threads
-        .parse()
-        .map_err(|_| format!("cell threads `{threads}` is not a number"))?;
-    if size == 0 || threads == 0 {
-        return Err("cell size and threads must be positive".to_string());
+    if size == 0 {
+        return Err("cell size must be positive".to_string());
     }
     Ok(CellSpec {
         workload,
         size,
         engine,
-        threads,
     })
 }
 
@@ -141,12 +135,8 @@ pub fn profile_cell(
                 "selective" => selective_workload(spec.size),
                 _ => dense_workload(spec.size),
             };
-            let opts = EvalOptions {
-                threads: Some(spec.threads),
-                ..EvalOptions::default()
-            };
             Box::new(move || {
-                all_assignments(&q, &db, &Assignment::new(), opts);
+                evaluate(&q, &db);
             })
         }
     };
@@ -234,27 +224,27 @@ mod tests {
 
     #[test]
     fn cell_keys_parse_and_reject() {
-        let c = parse_cell("selective/1000/current/2").unwrap();
+        let c = parse_cell("selective/1000/current").unwrap();
         assert_eq!(c.workload, "selective");
         assert_eq!(c.size, 1000);
-        assert_eq!(c.threads, 2);
-        assert!(parse_cell("selective/1000/current").is_err());
-        assert!(parse_cell("mystery/1000/current/1").is_err());
+        assert!(parse_cell("selective/1000").is_err());
+        assert!(parse_cell("selective/1000/current/2").is_err());
+        assert!(parse_cell("mystery/1000/current").is_err());
         assert!(
-            parse_cell("dense/1000/seed/1").is_err(),
+            parse_cell("dense/1000/seed").is_err(),
             "seed not profilable"
         );
-        assert!(parse_cell("dense/x/current/1").is_err());
-        assert!(parse_cell("dense/0/current/1").is_err());
-        let c = parse_cell("cleaning_sweep/1000/view/1").unwrap();
+        assert!(parse_cell("dense/x/current").is_err());
+        assert!(parse_cell("dense/0/current").is_err());
+        let c = parse_cell("cleaning_sweep/1000/view").unwrap();
         assert_eq!(c.workload, "cleaning_sweep");
         assert_eq!(c.engine, "view");
         assert_eq!(
-            parse_cell("cleaning_sweep/1000/fullre/1").unwrap().engine,
+            parse_cell("cleaning_sweep/1000/fullre").unwrap().engine,
             "fullre"
         );
         assert!(
-            parse_cell("cleaning_sweep/1000/current/1").is_err(),
+            parse_cell("cleaning_sweep/1000/current").is_err(),
             "cleaning cells have no `current` engine"
         );
     }
@@ -262,7 +252,7 @@ mod tests {
     #[test]
     fn profiling_a_cleaning_cell_yields_view_frames() {
         let profile = profile_cell(
-            "cleaning_sweep/300/view/1",
+            "cleaning_sweep/300/view",
             Duration::from_micros(100),
             Duration::from_millis(80),
             None,
@@ -290,7 +280,7 @@ mod tests {
     #[test]
     fn profiling_a_small_cell_yields_eval_frames() {
         let profile = profile_cell(
-            "dense/300/current/1",
+            "dense/300/current",
             Duration::from_micros(100),
             Duration::from_millis(80),
             None,
@@ -309,7 +299,7 @@ mod tests {
     #[test]
     fn injected_slowdown_dominates_the_profile() {
         let profile = profile_cell(
-            "dense/300/current/1",
+            "dense/300/current",
             Duration::from_micros(100),
             Duration::from_millis(80),
             Some(4.0),

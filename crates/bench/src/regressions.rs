@@ -24,24 +24,12 @@ pub const ABSOLUTE_FLOOR_NS: f64 = 500_000.0;
 /// One cell of the committed baseline.
 #[derive(Clone, Debug)]
 pub struct BaselineCell {
-    /// `workload/size/engine/threads`.
+    /// `workload/size/engine`.
     pub key: String,
     /// Engine name (`"seed"` or `"current"`).
     pub engine: String,
     /// Mean wall-clock ns recorded in the baseline.
     pub mean_ns: f64,
-}
-
-/// The `host_parallelism` recorded in a baseline document, if present.
-/// The gate's calibration corrects single-thread machine speed only, so a
-/// comparison across hosts with different core counts should *warn* (the
-/// thread-scaling cells may diverge for machine reasons) without gating.
-pub fn baseline_host_parallelism(text: &str) -> Option<u64> {
-    Json::parse(text)
-        .ok()?
-        .get("host_parallelism")?
-        .as_f64()
-        .map(|v| v as u64)
 }
 
 /// Parse `BENCH_eval.json` into comparable cells.
@@ -68,16 +56,12 @@ pub fn load_baseline(text: &str) -> Result<Vec<BaselineCell>, String> {
                 .as_f64()
                 .ok_or_else(|| format!("results[{i}].{name} is not a number"))
         };
-        let (size, threads, mean_ns) = (num("size")?, num("threads")?, num("mean_ns")?);
+        let (size, mean_ns) = (num("size")?, num("mean_ns")?);
         if !mean_ns.is_finite() || mean_ns <= 0.0 {
             return Err(format!("results[{i}].mean_ns must be positive"));
         }
         cells.push(BaselineCell {
-            key: format!(
-                "{workload}/{size}/{engine}/{threads}",
-                size = size as u64,
-                threads = threads as u64
-            ),
+            key: format!("{workload}/{}/{engine}", size as u64),
             engine: engine.to_string(),
             mean_ns,
         });
@@ -90,7 +74,7 @@ pub fn load_baseline(text: &str) -> Result<Vec<BaselineCell>, String> {
 
 /// One compared cell.
 pub struct CellVerdict {
-    /// `workload/size/engine/threads`.
+    /// `workload/size/engine`.
     pub key: String,
     /// Baseline mean (ns) as committed.
     pub baseline_ns: f64,
@@ -251,17 +235,11 @@ pub fn compare(samples: &[Sample], baseline: &[BaselineCell], threshold: f64) ->
 mod tests {
     use super::*;
 
-    fn sample(
-        workload: &'static str,
-        engine: &'static str,
-        threads: usize,
-        mean_ns: f64,
-    ) -> Sample {
+    fn sample(workload: &'static str, engine: &'static str, mean_ns: f64) -> Sample {
         Sample {
             workload,
             size: 1000,
             engine,
-            threads,
             mean_ns,
             iters: 3,
             assignments: 1000,
@@ -271,9 +249,8 @@ mod tests {
     fn baseline() -> Vec<BaselineCell> {
         load_baseline(
             r#"{"results": [
-                {"workload": "selective", "size": 1000, "engine": "seed", "threads": 1, "mean_ns": 10000000, "iters": 3, "assignments": 1000},
-                {"workload": "selective", "size": 1000, "engine": "current", "threads": 1, "mean_ns": 2000000, "iters": 3, "assignments": 1000},
-                {"workload": "selective", "size": 1000, "engine": "current", "threads": 2, "mean_ns": 2000000, "iters": 3, "assignments": 1000}
+                {"workload": "selective", "size": 1000, "engine": "seed", "mean_ns": 10000000, "iters": 3, "assignments": 1000},
+                {"workload": "selective", "size": 1000, "engine": "current", "mean_ns": 2000000, "iters": 3, "assignments": 1000}
             ]}"#,
         )
         .unwrap()
@@ -282,16 +259,16 @@ mod tests {
     #[test]
     fn parses_the_committed_baseline_format() {
         let cells = baseline();
-        assert_eq!(cells.len(), 3);
-        assert_eq!(cells[0].key, "selective/1000/seed/1");
+        assert_eq!(cells.len(), 2);
+        assert_eq!(cells[0].key, "selective/1000/seed");
         assert_eq!(cells[0].mean_ns, 10_000_000.0);
     }
 
     #[test]
     fn matching_performance_passes() {
         let samples = vec![
-            sample("selective", "seed", 1, 10_000_000.0),
-            sample("selective", "current", 1, 2_100_000.0),
+            sample("selective", "seed", 10_000_000.0),
+            sample("selective", "current", 2_100_000.0),
         ];
         let report = compare(&samples, &baseline(), DEFAULT_THRESHOLD);
         assert!((report.calibration - 1.0).abs() < 1e-9);
@@ -303,8 +280,8 @@ mod tests {
         // Everything (seed included) runs 3× slower: a slower machine, not
         // a regression.
         let samples = vec![
-            sample("selective", "seed", 1, 30_000_000.0),
-            sample("selective", "current", 1, 6_200_000.0),
+            sample("selective", "seed", 30_000_000.0),
+            sample("selective", "current", 6_200_000.0),
         ];
         let report = compare(&samples, &baseline(), DEFAULT_THRESHOLD);
         assert!((report.calibration - 3.0).abs() < 1e-9);
@@ -315,8 +292,8 @@ mod tests {
     fn genuine_slowdown_fails_even_on_a_calibrated_machine() {
         // Seed unchanged (machine speed = baseline) but current 3× slower.
         let samples = vec![
-            sample("selective", "seed", 1, 10_000_000.0),
-            sample("selective", "current", 1, 6_000_000.0),
+            sample("selective", "seed", 10_000_000.0),
+            sample("selective", "current", 6_000_000.0),
         ];
         let report = compare(&samples, &baseline(), DEFAULT_THRESHOLD);
         assert!(!report.pass());
@@ -333,8 +310,8 @@ mod tests {
     #[test]
     fn trajectory_line_records_host_parallelism_and_attribution() {
         let samples = vec![
-            sample("selective", "seed", 1, 10_000_000.0),
-            sample("selective", "current", 1, 6_000_000.0),
+            sample("selective", "seed", 10_000_000.0),
+            sample("selective", "current", 6_000_000.0),
         ];
         let report = compare(&samples, &baseline(), DEFAULT_THRESHOLD);
         let bare = report.trajectory_line(123, "quick", 8, &[]);
@@ -345,13 +322,13 @@ mod tests {
             "quick",
             8,
             &[(
-                "selective/1000/current/1".to_string(),
-                "inject.slowdown 61.0%, eval.par_chunk 22.1%".to_string(),
+                "selective/1000/current".to_string(),
+                "inject.slowdown 61.0%, eval.assignments 22.1%".to_string(),
             )],
         );
         assert!(
             attributed
-                .contains("\"attribution\":{\"selective/1000/current/1\":\"inject.slowdown 61.0%"),
+                .contains("\"attribution\":{\"selective/1000/current\":\"inject.slowdown 61.0%"),
             "{attributed}"
         );
         // still a single well-formed JSON object
@@ -364,8 +341,8 @@ mod tests {
     #[test]
     fn cells_missing_from_the_baseline_are_skipped() {
         let samples = vec![
-            sample("selective", "seed", 1, 10_000_000.0),
-            sample("selective", "current", 8, 2_000_000.0), // not in baseline()
+            sample("selective", "seed", 10_000_000.0),
+            sample("dense", "current", 2_000_000.0), // not in baseline()
         ];
         let report = compare(&samples, &baseline(), DEFAULT_THRESHOLD);
         assert!(report.cells.is_empty());
@@ -376,43 +353,33 @@ mod tests {
     fn cleaning_sweep_engines_are_gated_like_current() {
         let baseline = load_baseline(
             r#"{"results": [
-                {"workload": "selective", "size": 1000, "engine": "seed", "threads": 1, "mean_ns": 10000000},
-                {"workload": "cleaning_sweep", "size": 1000, "engine": "view", "threads": 1, "mean_ns": 5000},
-                {"workload": "cleaning_sweep", "size": 1000, "engine": "fullre", "threads": 1, "mean_ns": 2000000}
+                {"workload": "selective", "size": 1000, "engine": "seed", "mean_ns": 10000000},
+                {"workload": "cleaning_sweep", "size": 1000, "engine": "view", "mean_ns": 5000},
+                {"workload": "cleaning_sweep", "size": 1000, "engine": "fullre", "mean_ns": 2000000}
             ]}"#,
         )
         .unwrap();
         // the incremental path regressed 400× (fell back to refresh-per-
         // edit): the gate must catch it even though the engine is "view"
         let samples = vec![
-            sample("selective", "seed", 1, 10_000_000.0),
-            sample("cleaning_sweep", "view", 1, 2_000_000.0),
-            sample("cleaning_sweep", "fullre", 1, 2_050_000.0),
+            sample("selective", "seed", 10_000_000.0),
+            sample("cleaning_sweep", "view", 2_000_000.0),
+            sample("cleaning_sweep", "fullre", 2_050_000.0),
         ];
         let report = compare(&samples, &baseline, DEFAULT_THRESHOLD);
         assert_eq!(report.cells.len(), 2, "{}", report.render());
         let view_cell = report
             .cells
             .iter()
-            .find(|c| c.key == "cleaning_sweep/1000/view/1")
+            .find(|c| c.key == "cleaning_sweep/1000/view")
             .unwrap();
         assert!(view_cell.regressed, "{}", report.render());
         let fullre_cell = report
             .cells
             .iter()
-            .find(|c| c.key == "cleaning_sweep/1000/fullre/1")
+            .find(|c| c.key == "cleaning_sweep/1000/fullre")
             .unwrap();
         assert!(!fullre_cell.regressed, "{}", report.render());
-    }
-
-    #[test]
-    fn baseline_host_parallelism_is_surfaced_when_recorded() {
-        assert_eq!(
-            baseline_host_parallelism(r#"{"host_parallelism": 8, "results": []}"#),
-            Some(8)
-        );
-        assert_eq!(baseline_host_parallelism(r#"{"results": []}"#), None);
-        assert_eq!(baseline_host_parallelism("not json"), None);
     }
 
     #[test]

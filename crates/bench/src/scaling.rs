@@ -1,4 +1,4 @@
-//! The size × thread-count eval scaling sweep.
+//! The eval scaling sweep over database sizes.
 //!
 //! Shared by `cargo bench --bench eval` (which writes `BENCH_eval.json` at
 //! the repository root) and by the `qoco-bench regressions` gate (which
@@ -19,7 +19,7 @@ use std::hint::black_box;
 use std::time::Instant;
 
 use qoco_data::{tup, Database, Edit, Fact, Schema};
-use qoco_engine::{all_assignments, answer_set, Assignment, EvalOptions, MaterializedView};
+use qoco_engine::{answer_set, evaluate, MaterializedView};
 use qoco_query::{parse_query, ConjunctiveQuery};
 
 use crate::seed_eval::SeedEval;
@@ -34,8 +34,6 @@ pub struct Sample {
     /// eval workloads; `"view"` (incremental) or `"fullre"` (re-evaluate
     /// after every edit) for `cleaning_sweep`.
     pub engine: &'static str,
-    /// Thread count the engine was asked for (always 1 for seed).
-    pub threads: usize,
     /// Mean wall-clock nanoseconds per evaluation.
     pub mean_ns: f64,
     /// Iterations the adaptive loop settled on.
@@ -45,13 +43,10 @@ pub struct Sample {
 }
 
 impl Sample {
-    /// `workload/size/engine/threads` — the cell's identity, used to match
+    /// `workload/size/engine` — the cell's identity, used to match
     /// measurements against baseline entries.
     pub fn key(&self) -> String {
-        format!(
-            "{}/{}/{}/{}",
-            self.workload, self.size, self.engine, self.threads
-        )
+        format!("{}/{}/{}", self.workload, self.size, self.engine)
     }
 }
 
@@ -63,8 +58,6 @@ pub struct SweepConfig {
     /// the edit cycle scales to 10⁶ tuples, where the seed eval engine —
     /// measured per full evaluation — would dominate the sweep's runtime).
     pub cleaning_sizes: Vec<usize>,
-    /// Thread counts for the current engine.
-    pub threads: Vec<usize>,
     /// Measurement budget per cell (the adaptive loop stops once this much
     /// measured time has accumulated).
     pub budget_ns: u128,
@@ -72,26 +65,22 @@ pub struct SweepConfig {
 
 impl SweepConfig {
     /// The full grid `cargo bench --bench eval` runs: eval sizes
-    /// 1k/4k/16k/100k at threads 1/2/4/8, cleaning sizes 1k/100k/1M,
-    /// 300 ms per cell.
+    /// 1k/4k/16k/100k, cleaning sizes 1k/100k/1M, 300 ms per cell.
     pub fn full() -> Self {
         SweepConfig {
             sizes: vec![1_000, 4_000, 16_000, 100_000],
             cleaning_sizes: vec![1_000, 100_000, 1_000_000],
-            threads: vec![1, 2, 4, 8],
             budget_ns: 300_000_000,
         }
     }
 
     /// The CI-sized subset the regression gate runs with `--quick`:
-    /// size 1k, threads 1/2, 60 ms per cell. The cleaning size (1k) is
-    /// also part of the full grid, so quick cells always have baseline
-    /// counterparts.
+    /// size 1k, 60 ms per cell. The cleaning size (1k) is also part of
+    /// the full grid, so quick cells always have baseline counterparts.
     pub fn quick() -> Self {
         SweepConfig {
             sizes: vec![1_000],
             cleaning_sizes: vec![1_000],
-            threads: vec![1, 2],
             budget_ns: 60_000_000,
         }
     }
@@ -213,7 +202,6 @@ pub fn cleaning_sweep_cells(n: usize, budget_ns: u128) -> Vec<Sample> {
             workload: "cleaning_sweep",
             size: n,
             engine: "view",
-            threads: 1,
             mean_ns,
             iters,
             assignments: view.len(),
@@ -241,7 +229,6 @@ pub fn cleaning_sweep_cells(n: usize, budget_ns: u128) -> Vec<Sample> {
             workload: "cleaning_sweep",
             size: n,
             engine: "fullre",
-            threads: 1,
             mean_ns,
             iters,
             assignments: answers,
@@ -253,10 +240,8 @@ pub fn cleaning_sweep_cells(n: usize, budget_ns: u128) -> Vec<Sample> {
 
 type WorkloadFn = fn(usize) -> (Database, ConjunctiveQuery);
 
-/// Run the sweep: for every workload × size, measure the seed engine once
-/// (single-threaded — its algorithm predates the parallel path) and the
-/// current engine at every configured thread count, asserting both produce
-/// identical assignments.
+/// Run the sweep: for every workload × size, measure the seed engine and
+/// the current engine, asserting both produce identical assignments.
 pub fn scaling_sweep(config: &SweepConfig) -> Vec<Sample> {
     let workloads: [(&'static str, WorkloadFn); 2] =
         [("selective", selective_workload), ("dense", dense_workload)];
@@ -275,38 +260,27 @@ pub fn scaling_sweep(config: &SweepConfig) -> Vec<Sample> {
                     workload,
                     size: n,
                     engine: "seed",
-                    threads: 1,
                     mean_ns,
                     iters,
                     assignments: baseline.len(),
                 });
                 baseline
             };
-            for &t in &config.threads {
-                let opts = EvalOptions {
-                    threads: Some(t),
-                    ..EvalOptions::default()
-                };
-                let res = all_assignments(&q, &db, &Assignment::new(), opts);
-                assert_eq!(
-                    res.assignments, expected,
-                    "engines disagree on {workload} at n={n}, threads={t}"
-                );
-                let (mean_ns, iters) = measure(config.budget_ns, || {
-                    all_assignments(&q, &db, &Assignment::new(), opts)
-                        .assignments
-                        .len()
-                });
-                samples.push(Sample {
-                    workload,
-                    size: n,
-                    engine: "current",
-                    threads: t,
-                    mean_ns,
-                    iters,
-                    assignments: expected.len(),
-                });
-            }
+            assert_eq!(
+                evaluate(&q, &db).assignments,
+                expected,
+                "engines disagree on {workload} at n={n}"
+            );
+            let (mean_ns, iters) =
+                measure(config.budget_ns, || evaluate(&q, &db).assignments.len());
+            samples.push(Sample {
+                workload,
+                size: n,
+                engine: "current",
+                mean_ns,
+                iters,
+                assignments: expected.len(),
+            });
         }
     }
     for &n in &config.cleaning_sizes {
@@ -325,18 +299,16 @@ pub fn render_json(samples: &[Sample]) -> String {
     out.push_str(
         "  \"workloads\": {\n    \"selective\": \"Q(x) :- A(x, g), B(g, x); groups of 200, one survivor per probe\",\n    \"dense\": \"Q(x, y) :- A(x, g), B(y, g); groups of 10, every candidate survives\",\n    \"cleaning_sweep\": \"delete/re-insert cycle over the selective DB; mean_ns is per edit (view = incremental MaterializedView, fullre = full re-evaluation per edit)\"\n  },\n",
     );
-    out.push_str(&format!(
-        "  \"host_parallelism\": {host_parallelism},\n  \"note\": \"threads > host_parallelism measure determinism-preserving overhead, not speedup\",\n"
-    ));
+    out.push_str(&format!("  \"host_parallelism\": {host_parallelism},\n"));
     out.push_str("  \"results\": [\n");
     for (i, s) in samples.iter().enumerate() {
         let sep = if i + 1 == samples.len() { "" } else { "," };
         out.push_str(&format!(
-            "    {{\"workload\": \"{}\", \"size\": {}, \"engine\": \"{}\", \"threads\": {}, \"mean_ns\": {:.0}, \"iters\": {}, \"assignments\": {}}}{sep}\n",
-            s.workload, s.size, s.engine, s.threads, s.mean_ns, s.iters, s.assignments
+            "    {{\"workload\": \"{}\", \"size\": {}, \"engine\": \"{}\", \"mean_ns\": {:.0}, \"iters\": {}, \"assignments\": {}}}{sep}\n",
+            s.workload, s.size, s.engine, s.mean_ns, s.iters, s.assignments
         ));
     }
-    out.push_str("  ],\n  \"speedup_vs_seed_single_thread\": {\n");
+    out.push_str("  ],\n  \"speedup_vs_seed\": {\n");
     // keyed off the seed cells: cleaning_sweep has no seed engine, so its
     // (workload, size) pairs never appear here
     let keys: Vec<(&'static str, usize)> = {
@@ -356,8 +328,8 @@ pub fn render_json(samples: &[Sample]) -> String {
             .expect("seed sample");
         let cur = samples
             .iter()
-            .find(|s| s.workload == w && s.size == n && s.engine == "current" && s.threads == 1)
-            .expect("current t=1 sample");
+            .find(|s| s.workload == w && s.size == n && s.engine == "current")
+            .expect("current sample");
         let sep = if i + 1 == keys.len() { "" } else { "," };
         out.push_str(&format!(
             "    \"{w}/{n}\": {:.2}{sep}\n",
@@ -412,23 +384,20 @@ mod tests {
         let config = SweepConfig {
             sizes: vec![200],
             cleaning_sizes: vec![200],
-            threads: vec![1],
             budget_ns: 1_000_000,
         };
         let samples = scaling_sweep(&config);
         // 2 eval workloads × (1 seed + 1 current) + cleaning (view + fullre)
         assert_eq!(samples.len(), 6);
         assert!(samples.iter().all(|s| s.mean_ns > 0.0));
-        assert_eq!(samples[0].key(), "selective/200/seed/1");
+        assert_eq!(samples[0].key(), "selective/200/seed");
+        assert!(samples.iter().any(|s| s.key() == "cleaning_sweep/200/view"));
         assert!(samples
             .iter()
-            .any(|s| s.key() == "cleaning_sweep/200/view/1"));
-        assert!(samples
-            .iter()
-            .any(|s| s.key() == "cleaning_sweep/200/fullre/1"));
+            .any(|s| s.key() == "cleaning_sweep/200/fullre"));
         let json = render_json(&samples);
         assert!(json.contains("\"bench\": \"eval_scaling\""));
-        assert!(json.contains("\"speedup_vs_seed_single_thread\""));
+        assert!(json.contains("\"speedup_vs_seed\""));
         assert!(json.contains("\"cleaning_sweep_speedup_view_vs_fullre\""));
         // the speedup-vs-seed map must not try to key off cleaning cells
         assert!(!json.contains("\"cleaning_sweep/200\":"));
@@ -441,8 +410,8 @@ mod tests {
         assert_eq!(samples.len(), 2);
         let view = &samples[0];
         let fullre = &samples[1];
-        assert_eq!(view.key(), "cleaning_sweep/400/view/1");
-        assert_eq!(fullre.key(), "cleaning_sweep/400/fullre/1");
+        assert_eq!(view.key(), "cleaning_sweep/400/view");
+        assert_eq!(fullre.key(), "cleaning_sweep/400/fullre");
         assert!(view.mean_ns > 0.0 && fullre.mean_ns > 0.0);
         // the cycle facts really are A-facts of the selective workload
         let (db, q) = selective_workload(400);

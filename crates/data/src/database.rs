@@ -57,8 +57,8 @@ impl Database {
     }
 
     /// Eagerly build every relation's sorted-id list and column indexes.
-    /// Optional warm-up: probes build lazily anyway, but warming before a
-    /// parallel evaluation avoids redundant racing index builds.
+    /// Optional warm-up: probes build lazily anyway, but a benchmark that
+    /// warms first measures steady-state reads and edits.
     pub fn ensure_indexes(&self) {
         for rel in &self.relations {
             rel.ensure_indexes();

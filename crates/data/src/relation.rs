@@ -6,7 +6,8 @@
 //! backtracking join consumes them directly — no per-probe clone, no
 //! per-descend sort. Indexes are built lazily behind [`std::sync::OnceLock`]
 //! cells, which makes [`Relation::probe`] a shared-borrow (`&self`)
-//! operation that is safe to call from many evaluation threads at once.
+//! operation: evaluation never needs a mutable borrow, and a `&Database`
+//! stays `Sync`.
 //!
 //! Every mutation bumps an **edit epoch**. Index cells that are already
 //! built are maintained *in place* — a single insert or delete touches one
@@ -200,8 +201,7 @@ impl Relation {
     /// Ids of tuples whose `col`-th value equals `value`, in tuple-sorted
     /// order, via the column's posting list (built on first use, then
     /// maintained in place across edits). Returns an empty slice if no
-    /// tuple matches. Shared borrow: safe to call concurrently from
-    /// parallel evaluation threads.
+    /// tuple matches. Shared borrow: safe to call concurrently.
     pub fn probe(&self, col: usize, value: &Value) -> &[TupleId] {
         let posting = self.posting(col, value);
         if !posting.is_empty() {
@@ -251,9 +251,9 @@ impl Relation {
         self.index(col).len()
     }
 
-    /// Eagerly build the sorted-id list and every column index. Called
-    /// before fanning evaluation out across threads so workers don't race
-    /// to (redundantly) initialize the same `OnceLock` cells.
+    /// Eagerly build the sorted-id list and every column index, so later
+    /// reads (and edits, which maintain built cells in place) never pay a
+    /// lazy build.
     pub fn ensure_indexes(&self) {
         self.sorted_ids();
         for col in 0..self.arity {

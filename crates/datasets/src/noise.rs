@@ -288,7 +288,6 @@ pub fn plant_wrong_answers_excluding(
                     &qoco_engine::Assignment::new(),
                     qoco_engine::EvalOptions {
                         max_assignments: witnesses_per_answer.max(1) * 4,
-                        ..qoco_engine::EvalOptions::default()
                     },
                 )
                 .assignments

@@ -21,7 +21,6 @@
 
 pub mod assignment;
 pub mod eval;
-pub mod monitor;
 pub mod view;
 pub mod whynot;
 pub mod witness;
@@ -31,7 +30,6 @@ pub use eval::{
     all_assignments, answer_set, assignments_for_answer, evaluate, explain, is_satisfiable,
     EvalOptions, EvalResult,
 };
-pub use monitor::ViewMonitor;
 pub use view::{delta_satisfiable, MaterializedView, ViewDelta};
 pub use whynot::{frontier_split, why_not};
 pub use witness::{witness_of, witnesses_for_answer, Witness};

@@ -8,6 +8,11 @@
 //! evaluations — it never re-checks `is_satisfiable` per cached answer and
 //! never re-evaluates `Q(D)` from scratch.
 //!
+//! It is also what the paper's deployment story (Section 1) monitors:
+//! "after the data is cleaned with traditional techniques, QOCO can be
+//! activated to *monitor the views* that are served to users/applications."
+//! [`MaterializedView::apply_edit`] reports each edit's answer delta.
+//!
 //! The two delta directions (db already reflects the edit when the view is
 //! notified):
 //!
@@ -74,28 +79,16 @@ pub struct MaterializedView {
     counts: BTreeMap<Tuple, u64>,
     /// `Database::epoch()` as of the last synchronisation point.
     db_epoch: u64,
-    opts: EvalOptions,
 }
 
 impl MaterializedView {
-    /// Materialize `query` over `db`.
-    pub fn new(query: ConjunctiveQuery, db: &Database) -> Self {
-        Self::with_options(query, db, EvalOptions::default())
-    }
-
-    /// Materialize with explicit evaluation options (thread count). The
-    /// assignment cap is ignored: witness counts must be exact, so the
+    /// Materialize `query` over `db`. Witness counts must be exact, so the
     /// view always evaluates uncapped.
-    pub fn with_options(query: ConjunctiveQuery, db: &Database, opts: EvalOptions) -> Self {
-        let opts = EvalOptions {
-            max_assignments: usize::MAX,
-            ..opts
-        };
+    pub fn new(query: ConjunctiveQuery, db: &Database) -> Self {
         let mut view = MaterializedView {
             query,
             counts: BTreeMap::new(),
             db_epoch: 0,
-            opts,
         };
         view.refresh(db);
         view
@@ -152,7 +145,7 @@ impl MaterializedView {
     pub fn refresh(&mut self, db: &Database) -> ViewDelta {
         qoco_telemetry::counter_add("view.full_refreshes", 1);
         let mut fresh: BTreeMap<Tuple, u64> = BTreeMap::new();
-        for head in head_rows(&self.query, db, self.opts.threads) {
+        for head in head_rows(&self.query, db) {
             *fresh.entry(head).or_insert(0) += 1;
         }
         let added = fresh
@@ -235,7 +228,7 @@ impl MaterializedView {
         };
         if let [(_, seed)] = seeds.as_slice() {
             // single matching atom: every found assignment is distinct
-            for a in &all_assignments(&self.query, db, seed, self.opts).assignments {
+            for a in &all_assignments(&self.query, db, seed, EvalOptions::default()).assignments {
                 bump(&mut self.counts, a);
             }
         } else {
@@ -243,7 +236,9 @@ impl MaterializedView {
             // per seed; count it once
             let mut fresh: BTreeSet<Assignment> = BTreeSet::new();
             for (_, seed) in &seeds {
-                fresh.extend(all_assignments(&self.query, db, seed, self.opts).assignments);
+                fresh.extend(
+                    all_assignments(&self.query, db, seed, EvalOptions::default()).assignments,
+                );
             }
             for a in &fresh {
                 bump(&mut self.counts, a);
@@ -357,7 +352,8 @@ impl MaterializedView {
             rest_ineqs,
         )
         .map_err(|_| ())?;
-        for b in &all_assignments(&sub, db, &Assignment::new(), self.opts).assignments {
+        for b in &all_assignments(&sub, db, &Assignment::new(), EvalOptions::default()).assignments
+        {
             let mut full = seed.clone();
             if !full.merge(b) {
                 // seed vars were substituted out of the subquery, so the
@@ -448,7 +444,7 @@ fn substitute_inequality(e: &Inequality, seed: &Assignment) -> Inequality {
 mod tests {
     use super::*;
     use crate::eval::answer_set;
-    use qoco_data::{tup, Schema};
+    use qoco_data::{tup, Schema, Value};
     use qoco_query::parse_query;
     use std::sync::Arc;
 
@@ -523,6 +519,70 @@ mod tests {
         let delta = v.apply_edit(&db, &e);
         assert!(delta.is_empty(), "GER was already an answer");
         assert_eq!(v.witness_count(&tup!["GER"]), 6);
+    }
+
+    #[test]
+    fn irrelevant_edits_are_free() {
+        let (schema, mut db, q) = setup();
+        let clubs = schema.rel_id("Clubs").unwrap();
+        let mut m = MaterializedView::new(q, &db);
+        let e = Edit::insert(Fact::new(clubs, tup!["X", "Bayern"]));
+        db.apply(&e).unwrap();
+        let delta = m.apply_edit(&db, &e);
+        assert!(delta.is_empty());
+        assert!(!m.is_relevant(&e.fact));
+    }
+
+    #[test]
+    fn insertion_delta_detects_new_answer() {
+        let (schema, mut db, q) = setup();
+        let mut m = MaterializedView::new(q, &db);
+        // ESP needs two finals and a Teams row; add them one by one
+        let games = schema.rel_id("Games").unwrap();
+        let teams = schema.rel_id("Teams").unwrap();
+        let edits = [
+            Edit::insert(Fact::new(
+                games,
+                tup!["11.07.10", "ESP", "NED", "Final", "1:0"],
+            )),
+            Edit::insert(Fact::new(
+                games,
+                tup!["12.07.98", "ESP", "NED", "Final", "4:2"],
+            )),
+            Edit::insert(Fact::new(teams, tup!["ESP", "EU"])),
+        ];
+        let mut last = ViewDelta::default();
+        for e in &edits {
+            db.apply(e).unwrap();
+            last = m.apply_edit(&db, e);
+        }
+        assert_eq!(last.added, vec![tup!["ESP"]]);
+        assert_eq!(m.answers(), vec![tup!["ESP"], tup!["GER"]]);
+    }
+
+    #[test]
+    fn unify_respects_constants_and_repeated_vars() {
+        let (schema, _, q) = setup();
+        let games_atom = &q.atoms()[0];
+        let games = schema.rel_id("Games").unwrap();
+        // stage constant "Final" must match
+        let non_final = Fact::new(games, tup!["d", "X", "Y", "Group", "1:0"]);
+        assert!(unify(games_atom, &non_final).is_none());
+        let final_game = Fact::new(games, tup!["d", "X", "Y", "Final", "1:0"]);
+        let seed = unify(games_atom, &final_game).unwrap();
+        assert_eq!(
+            seed.get(&qoco_query::Var::new("x")),
+            Some(&Value::text("X"))
+        );
+        // repeated variables: E(v, v) unifies only with equal columns
+        let s2 = Schema::builder()
+            .relation("E", &["a", "b"])
+            .build()
+            .unwrap();
+        let q2 = parse_query(&s2, "(v) :- E(v, v)").unwrap();
+        let e_rel = s2.rel_id("E").unwrap();
+        assert!(unify(&q2.atoms()[0], &Fact::new(e_rel, tup!["p", "q"])).is_none());
+        assert!(unify(&q2.atoms()[0], &Fact::new(e_rel, tup!["p", "p"])).is_some());
     }
 
     #[test]

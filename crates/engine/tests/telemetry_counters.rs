@@ -1,4 +1,5 @@
-//! Telemetry correctness under the parallel eval path.
+//! Telemetry correctness of evaluation: pinned search counters and span
+//! placement.
 //!
 //! These live in their own integration-test binary: a telemetry session is
 //! process-global, and unit tests running concurrently in another binary
@@ -12,8 +13,8 @@ use qoco_engine::{all_assignments, Assignment, EvalOptions};
 use qoco_query::{parse_query, ConjunctiveQuery, Var};
 use qoco_telemetry::InMemoryCollector;
 
-/// A join whose top-level candidate list clears the engine's parallel
-/// threshold, so `threads > 1` actually fans out.
+/// A 60 × 60 join in 3 groups: 60 root candidates and 1,200 valid
+/// assignments.
 fn wide_workload() -> (Database, ConjunctiveQuery) {
     let s = Schema::builder()
         .relation("A", &["a", "g"])
@@ -61,38 +62,12 @@ fn figure1() -> (Database, ConjunctiveQuery) {
     (db, q)
 }
 
-fn opts(threads: usize) -> EvalOptions {
-    EvalOptions {
-        threads: Some(threads),
-        ..EvalOptions::default()
-    }
-}
-
-/// Run the workload under a fresh session, returning (assignments_tried,
-/// answer count, recorded spans).
-fn run_session(threads: usize) -> (u64, usize, Vec<qoco_telemetry::SpanRecord>) {
-    let (db, q) = wide_workload();
-    let collector = Arc::new(InMemoryCollector::new());
-    let session = qoco_telemetry::session(collector.clone());
-    let result = all_assignments(&q, &db, &Assignment::new(), opts(threads));
-    let tried = qoco_telemetry::metrics()
-        .snapshot()
-        .counter("eval.assignments_tried");
-    drop(session);
-    (tried, result.assignments.len(), collector.spans())
-}
-
 /// One evaluation under a fresh session: (`eval.assignments_tried`,
 /// `eval.probe_hits`, valid assignments).
-fn search_counters(
-    db: &Database,
-    q: &ConjunctiveQuery,
-    seed: &Assignment,
-    threads: usize,
-) -> (u64, u64, usize) {
+fn search_counters(db: &Database, q: &ConjunctiveQuery, seed: &Assignment) -> (u64, u64, usize) {
     let collector = Arc::new(InMemoryCollector::new());
     let session = qoco_telemetry::session(collector);
-    let result = all_assignments(q, db, seed, opts(threads));
+    let result = all_assignments(q, db, seed, EvalOptions::default());
     let metrics = qoco_telemetry::metrics().snapshot();
     drop(session);
     (
@@ -105,79 +80,42 @@ fn search_counters(
 /// The search itself is pinned: candidates examined and non-empty index
 /// probes are the counts the engine produced before evaluations were
 /// compiled into a slot-based kernel. A change to atom order, probe-column
-/// choice, pruning or the parallel split moves them.
+/// choice or pruning moves them.
 #[test]
 fn search_counters_are_pinned() {
     let (db, q) = wide_workload();
-    for threads in [1, 8] {
-        assert_eq!(
-            search_counters(&db, &q, &Assignment::new(), threads),
-            (1260, 60, 1200),
-            "wide workload, threads={threads}"
-        );
-    }
+    assert_eq!(
+        search_counters(&db, &q, &Assignment::new()),
+        (1260, 60, 1200),
+        "wide workload"
+    );
     let (db, q) = figure1();
     let esp = Assignment::from_pairs([(Var::new("x"), Value::text("ESP"))]);
     assert_eq!(
-        search_counters(&db, &q, &esp, 1),
+        search_counters(&db, &q, &esp),
         (21, 6, 12),
         "Figure 1 Q1 seeded with x = ESP"
     );
 }
 
+/// Evaluation never leaves the calling thread: every span the wide
+/// workload records, the evaluation span included, carries this thread's
+/// ordinal.
 #[test]
-fn no_counter_increments_lost_with_eight_parallel_workers() {
-    let (tried_seq, n_seq, _) = run_session(1);
-    let (tried_par, n_par, _) = run_session(8);
-    assert_eq!(n_seq, n_par, "parallel eval changed the answer set");
-    assert!(tried_seq > 0, "workload exercised the counter");
-    // Every worker's `tried` tally is merged and added exactly once; a racy
-    // accumulation would drop increments at threads=8.
-    assert_eq!(
-        tried_par, tried_seq,
-        "assignments_tried diverged between threads=1 and threads=8"
-    );
-}
-
-#[test]
-fn parallel_chunks_land_on_distinct_tracks_under_the_eval_span() {
-    let (_, _, spans) = run_session(4);
-    let eval = spans
-        .iter()
-        .find(|s| s.name == "eval.assignments")
-        .expect("eval.assignments span recorded");
-    let chunks: Vec<_> = spans
-        .iter()
-        .filter(|s| s.name == "eval.par_chunk")
-        .collect();
+fn evaluation_records_every_span_on_the_calling_thread() {
+    let (db, q) = wide_workload();
+    let collector = Arc::new(InMemoryCollector::new());
+    let session = qoco_telemetry::session(collector.clone());
+    let result = all_assignments(&q, &db, &Assignment::new(), EvalOptions::default());
+    drop(session);
+    assert_eq!(result.assignments.len(), 1200);
+    let spans = collector.spans();
     assert!(
-        chunks.len() >= 2,
-        "expected a fan-out, got {} chunk spans",
-        chunks.len()
+        spans.iter().any(|s| s.name == "eval.assignments"),
+        "eval.assignments span recorded"
     );
-    let mut threads: Vec<u64> = chunks.iter().map(|c| c.thread).collect();
-    threads.sort_unstable();
-    threads.dedup();
-    assert!(
-        threads.len() >= 2,
-        "chunk spans all landed on one thread track: {threads:?}"
-    );
-    for c in &chunks {
-        assert_eq!(c.parent, Some(eval.id), "chunk linked to the eval span");
-        assert!(c.field("candidates").is_some());
-        assert!(c.field("valid").is_some());
-        let probes: u64 = c.field("probes").and_then(|v| v.parse().ok()).unwrap();
-        assert!(probes > 0, "each chunk issues index probes on the join");
+    let here = qoco_telemetry::thread_ordinal();
+    for s in &spans {
+        assert_eq!(s.thread, here, "span {} left the calling thread", s.name);
     }
-    // the eval span carries the session-wide probe tally for attribution
-    let eval_probes: u64 = eval.field("probes").and_then(|v| v.parse().ok()).unwrap();
-    let chunk_probes: u64 = chunks
-        .iter()
-        .map(|c| {
-            c.field("probes")
-                .and_then(|v| v.parse::<u64>().ok())
-                .unwrap()
-        })
-        .sum();
-    assert!(eval_probes >= chunk_probes, "parent tally includes chunks");
 }

@@ -2,12 +2,12 @@
 //! databases and random edit sequences — inserts, deletes, no-op edits,
 //! mid-sequence view rebuilds (a killed session resuming from the
 //! database) and out-of-band mutations — the view's cached answers stay
-//! byte-identical to a fresh `answer_set()` after every single edit, for
-//! every thread count. This is the correctness contract that lets the
-//! cleaning loop trust the incremental path at any scale.
+//! byte-identical to a fresh `answer_set()` after every single edit. This
+//! is the correctness contract that lets the cleaning loop trust the
+//! incremental path at any scale.
 
 use qoco_data::{Database, Edit, Fact, Schema, Tuple, Value};
-use qoco_engine::{answer_set, EvalOptions, MaterializedView};
+use qoco_engine::{answer_set, MaterializedView};
 use qoco_query::{parse_query, ConjunctiveQuery};
 use std::sync::Arc;
 
@@ -79,25 +79,21 @@ fn random_db(schema: &Arc<Schema>, rng: &mut Rng) -> Database {
     db
 }
 
-/// Drive one (query, seed, threads) cell: 120 random edits, checking the
+/// Drive one (query, seed) cell: 120 random edits, checking the
 /// view against a fresh evaluation after every one. Midway, the view is
 /// dropped and rebuilt from the database alone (killed-session resume);
 /// later the database is mutated behind the view's back and `sync` must
 /// recover via the epoch fallback.
-fn drive(q: &ConjunctiveQuery, seed: u64, threads: usize) {
+fn drive(q: &ConjunctiveQuery, seed: u64) {
     let schema = schema();
     let mut rng = Rng(seed | 1);
     let mut db = random_db(&schema, &mut rng);
-    let opts = EvalOptions {
-        threads: Some(threads),
-        ..EvalOptions::default()
-    };
-    let mut view = MaterializedView::with_options(q.clone(), &db, opts);
+    let mut view = MaterializedView::new(q.clone(), &db);
     for step in 0..120 {
         if step == 60 {
             // killed-session resume: the in-memory view is gone; a new one
             // must materialize from the database state alone
-            view = MaterializedView::with_options(q.clone(), &db, opts);
+            view = MaterializedView::new(q.clone(), &db);
         }
         if step == 90 {
             // out-of-band mutation: the view only learns via sync()
@@ -116,28 +112,18 @@ fn drive(q: &ConjunctiveQuery, seed: u64, threads: usize) {
         assert_eq!(
             view.answers(),
             expected,
-            "query {} diverged at step {step} (seed {seed}, threads {threads}) after {edit:?}",
+            "query {} diverged at step {step} (seed {seed}) after {edit:?}",
             q.name()
         );
     }
 }
 
 #[test]
-fn view_matches_full_reevaluation_sequential() {
+fn view_matches_full_reevaluation() {
     let schema = schema();
     for q in &queries(&schema) {
         for seed in [0x5EED_0001u64, 0xC0FFEE, 0xBADD_CAFE] {
-            drive(q, seed, 1);
-        }
-    }
-}
-
-#[test]
-fn view_matches_full_reevaluation_across_thread_counts() {
-    let schema = schema();
-    for q in &queries(&schema) {
-        for threads in [2usize, 8] {
-            drive(q, 0xD1CE_D1CE, threads);
+            drive(q, seed);
         }
     }
 }

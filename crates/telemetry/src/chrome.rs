@@ -5,9 +5,9 @@
 //! `chrome://tracing` and [Perfetto] (ui.perfetto.dev → "Open trace
 //! file"). Spans become `"ph":"X"` complete events and point events become
 //! `"ph":"i"` instants; each telemetry thread ordinal (see
-//! [`crate::thread_ordinal`]) maps to its own track, so the parallel eval
-//! path's fan-out across rayon-shim worker threads is visible as stacked
-//! per-worker lanes under the coordinator's track.
+//! [`crate::thread_ordinal`]) maps to its own track, so spans opened on
+//! server workers or the multi-expert crowd's threads get lanes of their
+//! own.
 //!
 //! The output uses the *object* form (`{"traceEvents":[…]}`), which both
 //! viewers accept and which leaves room for top-level metadata. Timestamps
@@ -47,8 +47,7 @@ fn push_common(out: &mut String, name: &str, ph: char, tid: u64, ts_ns: u64) {
 
 /// Render `spans` and `events` as one Chrome trace-event JSON document
 /// (object form). Includes `thread_name` metadata so viewers label each
-/// track: the track hosting only `eval.par_chunk` spans is an eval worker,
-/// everything else is a generic qoco thread.
+/// track `thread N`.
 pub fn chrome_trace_json(spans: &[SpanRecord], events: &[EventRecord]) -> String {
     chrome_trace_json_full(spans, events, &[])
 }
@@ -83,19 +82,9 @@ pub fn chrome_trace_json_full(
         .chain(decisions.iter().map(|d| d.thread))
         .collect();
     for &tid in &tids {
-        let mut names = spans.iter().filter(|s| s.thread == tid).map(|s| s.name);
-        let worker = names.clone().next().is_some() && names.all(|n| n == "eval.par_chunk");
-        let label = if worker {
-            format!("eval worker {tid}")
-        } else {
-            format!("thread {tid}")
-        };
         sep(&mut out);
         out.push_str(&format!(
-            "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{tid},\"args\":{{\"name\":"
-        ));
-        push_json_str(&mut out, &label);
-        out.push_str(&format!("}}}},\n{{\"name\":\"thread_sort_index\",\"ph\":\"M\",\"pid\":1,\"tid\":{tid},\"args\":{{\"sort_index\":{tid}}}}}"));
+            "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{tid},\"args\":{{\"name\":\"thread {tid}\"}}}},\n{{\"name\":\"thread_sort_index\",\"ph\":\"M\",\"pid\":1,\"tid\":{tid},\"args\":{{\"sort_index\":{tid}}}}}"));
     }
 
     for s in spans {
@@ -178,7 +167,7 @@ mod tests {
     fn object_form_with_spans_and_instants() {
         let spans = vec![
             span(1, "clean.session", 0, 0, 2_500),
-            span(2, "eval.par_chunk", 1, 500, 1_000),
+            span(2, "serve.request", 1, 500, 1_000),
         ];
         let events = vec![EventRecord {
             at_ns: 700,
@@ -194,7 +183,7 @@ mod tests {
         assert!(json.contains(r#""ph":"i""#));
         assert!(json.contains(r#""ts":0.500,"dur":1.000"#));
         assert!(json.contains(r#""tid":1"#));
-        assert!(json.contains(r#""name":"eval worker 1""#));
+        assert!(json.contains(r#""name":"thread 1""#));
         assert!(json.contains(r#""name":"thread 0""#));
         assert!(json.contains(r#""parent":"1""#));
         assert!(json.contains(r#""k":"v\"q""#));

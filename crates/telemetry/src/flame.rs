@@ -197,7 +197,7 @@ mod tests {
 
     fn sample_counts() -> BTreeMap<String, u64> {
         let mut counts = BTreeMap::new();
-        counts.insert("session;eval;eval.par_chunk".to_string(), 40);
+        counts.insert("session;eval;eval.satisfiable".to_string(), 40);
         counts.insert("session;eval".to_string(), 10);
         counts.insert("session;split".to_string(), 25);
         counts
@@ -217,11 +217,11 @@ mod tests {
     #[test]
     fn structure_holds_one_rect_per_visible_frame() {
         let svg = flamegraph_svg(&sample_counts(), "t");
-        // frames: session, eval, eval.par_chunk, split — all wide enough
+        // frames: session, eval, eval.satisfiable, split — all wide enough
         assert_eq!(svg.matches(r#"<g class="frame">"#).count(), 4);
         assert_eq!(svg.matches("<title>").count(), 4);
         assert!(svg.contains("session (75 samples, 100.00%)"));
-        assert!(svg.contains("eval.par_chunk (40 samples, 53.33%)"));
+        assert!(svg.contains("eval.satisfiable (40 samples, 53.33%)"));
         assert!(svg.starts_with("<?xml"));
         assert!(svg.trim_end().ends_with("</svg>"));
     }

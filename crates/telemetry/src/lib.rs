@@ -254,22 +254,13 @@ impl Drop for NestedSessionGuard {
 /// disabled; otherwise the guard records a [`SpanRecord`] on drop, parented
 /// to the innermost live span on this thread.
 pub fn span(name: &'static str) -> SpanGuard {
-    span_child_of(name, None)
-}
-
-/// Open a span with an explicit fallback parent: if this thread has a live
-/// span, that wins (same as [`span`]); otherwise the span is parented to
-/// `parent`. This is how work fanned out to worker threads stays linked to
-/// the span that spawned it — capture [`current_span_id`] on the
-/// coordinating thread and pass it into each worker.
-pub fn span_child_of(name: &'static str, parent: Option<u64>) -> SpanGuard {
     if !enabled() {
         return SpanGuard::noop();
     }
     let id = NEXT_SPAN_ID.fetch_add(1, Ordering::Relaxed);
     let parent = SPAN_STACK.with(|s| {
         let mut stack = s.borrow_mut();
-        let parent = stack.last().copied().or(parent);
+        let parent = stack.last().copied();
         stack.push(id);
         parent
     });
@@ -290,8 +281,7 @@ pub fn span_child_of(name: &'static str, parent: Option<u64>) -> SpanGuard {
 }
 
 /// The id of the innermost live span on this thread (`None` when telemetry
-/// is disabled or no span is open). Pass it to [`span_child_of`] on a
-/// worker thread to keep cross-thread spans in one tree.
+/// is disabled or no span is open).
 pub fn current_span_id() -> Option<u64> {
     if !enabled() {
         return None;
@@ -573,9 +563,8 @@ mod tests {
 
     #[test]
     fn concurrent_increments_are_not_lost() {
-        // Eight workers (the parallel eval path's RAYON_NUM_THREADS=8
-        // shape) hammer the same counter and histogram simultaneously;
-        // every increment must land.
+        // Eight workers hammer the same counter and histogram
+        // simultaneously; every increment must land.
         const WORKERS: usize = 8;
         const OPS: u64 = 10_000;
         let collector = Arc::new(InMemoryCollector::new());
@@ -603,18 +592,16 @@ mod tests {
     }
 
     #[test]
-    fn cross_thread_spans_carry_distinct_thread_ordinals_and_parent() {
+    fn cross_thread_spans_carry_distinct_thread_ordinals() {
+        // serve workers and the multi-expert crowd open spans on threads of
+        // their own; each thread gets its own ordinal (its trace track)
         let collector = Arc::new(InMemoryCollector::new());
         let session = session(collector.clone());
         {
             let root = span("fanout.root");
-            let parent = current_span_id();
-            assert!(parent.is_some());
             std::thread::scope(|scope| {
                 for _ in 0..2 {
-                    scope.spawn(move || {
-                        span_child_of("fanout.worker", parent).finish();
-                    });
+                    scope.spawn(|| span("fanout.worker").finish());
                 }
             });
             drop(root);
@@ -626,7 +613,7 @@ mod tests {
         let workers: Vec<_> = spans.iter().filter(|s| s.name == "fanout.worker").collect();
         assert_eq!(workers.len(), 2);
         for w in &workers {
-            assert_eq!(w.parent, Some(root.id), "worker linked to coordinator");
+            assert_eq!(w.parent, None, "a span on another thread starts a root");
             assert_ne!(w.thread, root.thread, "worker has its own thread track");
         }
         assert_ne!(workers[0].thread, workers[1].thread);

@@ -16,8 +16,7 @@ pub struct SpanRecord {
     /// Process-unique id (monotonically increasing from 1).
     pub id: u64,
     /// Id of the enclosing span, if any: the innermost live span on the
-    /// opening thread, or an explicit cross-thread parent (see
-    /// [`crate::span_child_of`]).
+    /// opening thread.
     pub parent: Option<u64>,
     /// Static span name, e.g. `"clean.deletion_phase"`.
     pub name: &'static str,

@@ -130,9 +130,9 @@ impl SessionTimeline {
     /// `questions=` / `probes=` span fields) and collector events
     /// attributed to spans of that name.
     ///
-    /// Children evaluated on worker threads may overlap in wall-clock time
-    /// (the parallel eval fan-out), so a parent's summed child time can
-    /// exceed its own duration; self time saturates at zero there.
+    /// Spans assembled by hand or read back from a trace need not nest, so
+    /// a parent's summed child time can exceed its own duration; self time
+    /// saturates at zero there.
     pub fn attribution(&self) -> BTreeMap<&'static str, PhaseAttribution> {
         let mut child_ns: BTreeMap<u64, u64> = BTreeMap::new();
         let mut name_of: BTreeMap<u64, &'static str> = BTreeMap::new();
@@ -393,21 +393,21 @@ mod tests {
     }
 
     #[test]
-    fn overlapping_parallel_children_saturate_self_time() {
-        // two children on worker threads fully overlap the parent: summed
-        // child time (800) exceeds the parent duration (500)
+    fn overlapping_children_saturate_self_time() {
+        // two overlapping children: summed child time (800) exceeds the
+        // parent duration (500)
         let t = SessionTimeline::new(
             vec![
                 span(1, None, "eval.assignments", 0, 500),
-                span(2, Some(1), "eval.par_chunk", 50, 400),
-                span(3, Some(1), "eval.par_chunk", 60, 400),
+                span(2, Some(1), "eval.chunk", 50, 400),
+                span(3, Some(1), "eval.chunk", 60, 400),
             ],
             Vec::new(),
             MetricsSnapshot::default(),
         );
         let a = t.attribution();
         assert_eq!(a["eval.assignments"].self_ns, 0);
-        assert_eq!(a["eval.par_chunk"].wall_ns, 800);
+        assert_eq!(a["eval.chunk"].wall_ns, 800);
     }
 
     #[test]

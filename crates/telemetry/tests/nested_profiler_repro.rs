@@ -1,6 +1,4 @@
-use qoco_telemetry::{
-    current_span_id, nested_session, session, span, span_child_of, InMemoryCollector, Profiler,
-};
+use qoco_telemetry::{nested_session, session, span, InMemoryCollector, Profiler};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -13,13 +11,12 @@ fn nested_session_under_a_running_sampler_does_not_hang() {
         let inner = Arc::new(InMemoryCollector::new());
         let _nested = nested_session(inner);
         let root = span("repro.root");
-        let parent = current_span_id();
-        // cross-thread children, like eval.par_chunk workers
+        // spans on other threads while the sampler walks the registry
         let handles: Vec<_> = (0..4)
             .map(|_| {
-                std::thread::spawn(move || {
+                std::thread::spawn(|| {
                     for _ in 0..20 {
-                        span_child_of("repro.chunk", parent).finish();
+                        span("repro.chunk").finish();
                     }
                 })
             })

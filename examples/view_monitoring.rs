@@ -16,7 +16,7 @@ use qoco::core::{clean_view, CleaningConfig};
 use qoco::crowd::{PerfectOracle, SingleExpert};
 use qoco::data::{tup, Edit, Fact};
 use qoco::datasets::{generate_soccer, soccer_query, SoccerConfig};
-use qoco::engine::ViewMonitor;
+use qoco::engine::MaterializedView;
 
 fn main() {
     let ground = generate_soccer(SoccerConfig::default());
@@ -24,7 +24,7 @@ fn main() {
     let q = soccer_query(db.schema(), 1);
     println!("monitoring view: {}\n", q.display());
 
-    let mut monitor = ViewMonitor::new(q.clone(), &db);
+    let mut monitor = MaterializedView::new(q.clone(), &db);
     println!("initial answers: {:?}\n", monitor.answers());
 
     // a scraper pushes updates; the middle one is bogus (Switzerland never

@@ -9,6 +9,13 @@ echo "== cargo build --release =="
 cargo build --release
 
 echo "== cargo test -q (tier-1) =="
+# tier-1 covers the root package (`qoco`) only: its unit tests, tests/*.rs
+# and doc tests. The --workspace step below adds the member crates' own
+# suites: the unit tests of data, query, engine, graph, crowd, core,
+# datasets, telemetry, bench and the shims, plus engine's
+# telemetry_counters and view_property, core's decision_provenance and
+# served_counters, telemetry's nested_profiler_repro, and bench's
+# phases_profile_repro, telemetry_noop_guard and telemetry_overhead_budget.
 cargo test -q
 
 echo "== tests/cli.rs under 16 threads, 10 times (temp-dir isolation) =="
@@ -24,14 +31,17 @@ if grep -rnE 'panic_any|catch_unwind|set_hook|take_hook' src crates/*/src; then
   exit 1
 fi
 
+echo "== evaluation stays on the calling thread =="
+# the parallel evaluation path and its thread knob are gone; nothing may
+# bring back a thread-pool dependency, its env var or cross-thread span
+# parenting
+if grep -rnE 'rayon|RAYON_NUM_THREADS|span_child_of|par_chunk' src crates shims Cargo.toml; then
+  echo "parallel-evaluation remnants (listed above)" >&2
+  exit 1
+fi
+
 echo "== cargo test -q --workspace =="
 cargo test -q --workspace
-
-echo "== RAYON_NUM_THREADS=1 cargo test -q --workspace (sequential eval) =="
-RAYON_NUM_THREADS=1 cargo test -q --workspace
-# the view/answer-set equivalence property must hold under a sequential
-# pool too (its threads=2/8 cases then exercise the fallback path)
-RAYON_NUM_THREADS=1 cargo test -q -p qoco-engine --test view_property
 
 echo "== cargo bench --workspace --no-run =="
 cargo bench --workspace --no-run
@@ -62,7 +72,7 @@ echo "== telemetry smoke-run =="
 cargo run --release --example quickstart > /dev/null
 # ...and the same Figure 1 scenario through qoco-cli must emit both a
 # non-trivial JSONL export covering the cleaning phases and a
-# Perfetto-loadable Chrome trace showing the parallel eval fan-out
+# Perfetto-loadable Chrome trace
 work="$(mktemp -d -t qoco-ci-XXXXXX)"
 trap 'rm -rf "$work"' EXIT
 trace="$work/trace.jsonl"
@@ -74,24 +84,6 @@ printf 'country\tcontinent\nESP\tEU\nGER\tEU\n' > "$work/dirty/Teams.tsv"
 printf 'date\twinner\trunner_up\tstage\tresult\n11.07.10\tESP\tNED\tFinal\t1:0\n13.07.14\tGER\tARG\tFinal\t1:0\n08.07.90\tGER\tARG\tFinal\t1:0\n' > "$work/ground/Games.tsv"
 printf 'country\tcontinent\nESP\tEU\nGER\tEU\n' > "$work/ground/Teams.tsv"
 
-# Pad the fixture (identically in dirty and ground, so the cleaning outcome
-# is untouched) until the planner's first atom has enough top-level
-# candidates to clear the engine's parallel threshold:
-#  - 16 extra EU teams → 18 Teams candidates;
-#  - 16 extra Semi-stage games keep Games the larger relation;
-#  - one Final win per fake team (single final each, so the d1 != d2 pair
-#    never forms and no new Q1 answers appear) keeps the "Final" posting
-#    *longer* than the EU posting, so the cardinality-ordered planner
-#    (posting-list estimates, smallest first) still roots at the Teams
-#    atom with all 18 candidates.
-for i in $(seq -w 1 16); do
-  printf 'T%s\tEU\n' "$i" | tee -a "$work/dirty/Teams.tsv" >> "$work/ground/Teams.tsv"
-  printf '01.01.%s\tT%s\tT%s\tSemi\t1:0\n' "$i" "$i" "$i" \
-    | tee -a "$work/dirty/Games.tsv" >> "$work/ground/Games.tsv"
-  printf '02.02.%s\tT%s\tT%s\tFinal\t1:0\n' "$i" "$i" "$i" \
-    | tee -a "$work/dirty/Games.tsv" >> "$work/ground/Games.tsv"
-done
-
 printf '%s\n' \
   'relation Games date winner runner_up stage result' \
   'relation Teams country continent' \
@@ -100,18 +92,16 @@ printf '%s\n' \
   'query Q1(x) :- Games(d1, x, y, "Final", u1), Games(d2, x, z, "Final", u2), Teams(x, "EU"), d1 != d2.' \
   'clean Q1 qoco provenance' \
   'quit' \
-  | RAYON_NUM_THREADS=2 ./target/release/qoco-cli --telemetry "$trace" --trace "$chrome_trace" > /dev/null
+  | ./target/release/qoco-cli --telemetry "$trace" --trace "$chrome_trace" > /dev/null
 
-for needle in clean.session clean.deletion_phase clean.insertion_phase eval.assignments eval.par_chunk crowd.questions_asked; do
+for needle in clean.session clean.deletion_phase clean.insertion_phase eval.assignments crowd.questions_asked; do
   grep -q "$needle" "$trace" || { echo "telemetry smoke-run: missing $needle in trace" >&2; exit 1; }
 done
 echo "telemetry trace OK ($(wc -l < "$trace") JSONL lines)"
 
-# the Chrome trace must parse as valid trace-event JSON with spans on at
-# least two thread tracks (coordinator + parallel eval workers)
+# the Chrome trace must parse as valid trace-event JSON
 cargo run -q --release -p qoco-bench --bin qoco-bench -- \
-  validate-trace "$chrome_trace" --min-tracks 2 \
-  --require-span clean.session --require-span eval.par_chunk
+  validate-trace "$chrome_trace" --require-span clean.session
 
 echo "== chaos / crash-recovery smoke-run =="
 # the same Figure 1 scenario again, now under injected crowd faults and a
@@ -215,26 +205,37 @@ diff "$work/explain-fresh.txt" "$work/explain-resumed.txt" \
 echo "decision provenance explains fresh and resumed sessions identically: OK"
 
 echo "== profiling smoke-run =="
-# the padded Figure 1 session again, now under the sampling profiler: the
+# the Figure 1 session again, now under the sampling profiler: the
 # flamegraph must be structurally valid and must contain the cleaning
-# phases as frames
+# phases as frames. The bare fixture cleans in about a millisecond, too
+# short for a 200 µs sampler to be sure of one sample, so 60 extra EU
+# teams with two Final wins each (identical in dirty and ground: 60 more
+# correct answers to verify) stretch the session to ~15 ms.
+cp -r "$work/dirty" "$work/dirty-prof"
+cp -r "$work/ground" "$work/ground-prof"
+for i in $(seq -w 1 60); do
+  printf 'T%s\tEU\n' "$i" | tee -a "$work/dirty-prof/Teams.tsv" >> "$work/ground-prof/Teams.tsv"
+  printf '01.01.%s\tT%s\tX%s\tFinal\t1:0\n02.02.%s\tT%s\tX%s\tFinal\t2:0\n' \
+    "$i" "$i" "$i" "$i" "$i" "$i" \
+    | tee -a "$work/dirty-prof/Games.tsv" >> "$work/ground-prof/Games.tsv"
+done
 flame="$work/session.svg"
 printf '%s\n' \
   'relation Games date winner runner_up stage result' \
   'relation Teams country continent' \
-  "load $work/dirty" \
-  "ground $work/ground" \
+  "load $work/dirty-prof" \
+  "ground $work/ground-prof" \
   'query Q1(x) :- Games(d1, x, y, "Final", u1), Games(d2, x, z, "Final", u2), Teams(x, "EU"), d1 != d2.' \
   'clean Q1 qoco provenance' \
   'quit' \
-  | RAYON_NUM_THREADS=2 ./target/release/qoco-cli --profile "$flame" > /dev/null
+  | ./target/release/qoco-cli --profile "$flame" > /dev/null
 cargo run -q --release -p qoco-bench --bin qoco-bench -- \
   validate-flamegraph "$flame" --require-frame clean.session
 # folded stacks of one sweep cell must name the eval phases, and the
 # folded → diff pipeline must round-trip
 folded="$work/cell.folded"
 cargo run -q --release -p qoco-bench --bin qoco-bench -- \
-  profile dense/500/current/2 --out "$folded" --budget-ms 300
+  profile dense/500/current --out "$folded" --budget-ms 300
 grep -q "eval.assignments" "$folded" \
   || { echo "profile: no eval.assignments frame in $folded" >&2; exit 1; }
 cargo run -q --release -p qoco-bench --bin qoco-bench -- \
@@ -339,7 +340,7 @@ gate_quick="$work/gate-quick.out"
 cargo run -q --release -p qoco-bench --bin qoco-bench -- regressions --check --quick \
   | tee "$gate_quick"
 # the quick gate must cover the incremental-cleaning cells, not just eval
-for cell in cleaning_sweep/1000/view/1 cleaning_sweep/1000/fullre/1; do
+for cell in cleaning_sweep/1000/view cleaning_sweep/1000/fullre; do
   grep -q "$cell" "$gate_quick" \
     || { echo "quick gate did not compare $cell" >&2; exit 1; }
 done
@@ -348,7 +349,7 @@ done
 gate_out="$work/gate.out"
 if cargo run -q --release -p qoco-bench --bin qoco-bench -- \
     regressions --check --quick --attribute \
-    --inject-slowdown selective/1000/current/1=3.0 > "$gate_out" 2>&1; then
+    --inject-slowdown selective/1000/current=3.0 > "$gate_out" 2>&1; then
   echo "regression gate failed to flag an injected 3x slowdown" >&2
   exit 1
 fi

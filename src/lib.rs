@@ -81,7 +81,9 @@ pub mod prelude {
         generate_dbgroup, generate_soccer, inject_noise, soccer_queries, DbGroupConfig, NoiseSpec,
         SoccerConfig,
     };
-    pub use qoco_engine::{answer_set, evaluate, witnesses_for_answer, Assignment, ViewMonitor};
+    pub use qoco_engine::{
+        answer_set, evaluate, witnesses_for_answer, Assignment, MaterializedView,
+    };
     pub use qoco_query::{parse_query, ConjunctiveQuery};
     pub use qoco_telemetry::{InMemoryCollector, JsonlCollector, SessionTimeline};
 }

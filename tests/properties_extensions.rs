@@ -12,7 +12,7 @@ use qoco::core::find_false_facts;
 use qoco::crowd::{PerfectOracle, SingleExpert};
 use qoco::data::{load_dir, save_dir, tup, Database, Edit, Fact, Schema, Value};
 use qoco::engine::{
-    all_assignments, answer_set, is_satisfiable, Assignment, EvalOptions, ViewMonitor,
+    all_assignments, answer_set, is_satisfiable, Assignment, EvalOptions, MaterializedView,
 };
 use qoco::query::{parse_query, Atom, ConjunctiveQuery, Inequality, Term, UnionQuery, Var};
 use qoco::telemetry::json::{push_json_str, Json};
@@ -105,8 +105,7 @@ fn db_strategy(max: usize) -> impl Strategy<Value = Database> {
 }
 
 /// A database over a wider domain than [`DOMAIN`] (query constants still
-/// come from it), so a root scan of `E` often clears the engine's parallel
-/// fan-out threshold.
+/// come from it), so caps often bite and root scans are long.
 fn wide_db_strategy() -> impl Strategy<Value = Database> {
     let e_facts = proptest::collection::vec((0..8usize, 0..8usize), 0..64);
     let l_facts = proptest::collection::vec(0..8usize, 0..8);
@@ -184,7 +183,8 @@ proptest! {
     /// total assignments extending the seed, and satisfiability agrees
     /// with that list being non-empty. Each case tries the generated seed
     /// and a restriction of one valid assignment (so seeded results are
-    /// often non-empty).
+    /// often non-empty). A capped evaluation keeps `min(cap, n)` of those
+    /// assignments and flags truncation exactly when it withheld some.
     #[test]
     fn seeded_evaluation_matches_brute_force(
         q in query_strategy(),
@@ -192,6 +192,7 @@ proptest! {
         seed in seed_strategy(),
         pick in 0..64usize,
         mask in 0..16usize,
+        cap in 1usize..20,
     ) {
         let mut seeds = vec![seed];
         let valid = brute_force_assignments(&q, &db, &Assignment::new());
@@ -209,11 +210,19 @@ proptest! {
             prop_assert!(!got.truncated);
             prop_assert_eq!(&got.assignments, &expected, "seed {:?}", seed);
             prop_assert_eq!(is_satisfiable(&q, &db, seed), !expected.is_empty(), "seed {:?}", seed);
+            let capped = all_assignments(&q, &db, seed, EvalOptions { max_assignments: cap });
+            prop_assert_eq!(capped.assignments.len(), cap.min(expected.len()), "seed {:?}", seed);
+            prop_assert_eq!(capped.truncated, expected.len() > cap, "seed {:?}", seed);
+            for a in &capped.assignments {
+                prop_assert!(expected.binary_search(a).is_ok(), "{:?} not valid (seed {:?})", a, seed);
+            }
         }
     }
 
     /// A capped evaluation keeps the same assignments, in the same order,
-    /// and the same `truncated` flag at every thread count.
+    /// and the same `truncated` flag however many threads evaluate the same
+    /// database at once. Each thread count starts from an unevaluated clone,
+    /// so the relations' lazy indexes are first built under contention.
     #[test]
     fn capped_evaluation_is_identical_across_thread_counts(
         q in query_strategy(),
@@ -222,13 +231,19 @@ proptest! {
         cap in 1usize..20,
     ) {
         for seed in [Assignment::new(), seed] {
-            let at = |threads: usize| {
-                let opts = EvalOptions { max_assignments: cap, threads: Some(threads) };
-                all_assignments(&q, &db, &seed, opts)
-            };
-            let sequential = at(1);
+            let opts = EvalOptions { max_assignments: cap };
+            let sequential = all_assignments(&q, &db.clone(), &seed, opts);
             for threads in [2usize, 8] {
-                prop_assert_eq!(&at(threads), &sequential, "threads={}", threads);
+                let shared = db.clone();
+                let results: Vec<_> = std::thread::scope(|s| {
+                    let handles: Vec<_> = (0..threads)
+                        .map(|_| s.spawn(|| all_assignments(&q, &shared, &seed, opts)))
+                        .collect();
+                    handles.into_iter().map(|h| h.join().unwrap()).collect()
+                });
+                for got in &results {
+                    prop_assert_eq!(got, &sequential, "threads={}", threads);
+                }
             }
         }
     }
@@ -298,7 +313,7 @@ proptest! {
         ];
         let q = &queries[qi];
         let mut live = db.clone();
-        let mut monitor = ViewMonitor::new(q.clone(), &live);
+        let mut view = MaterializedView::new(q.clone(), &live);
         for (del, rel_choice, a, b) in edits {
             let fact = if rel_choice == 0 {
                 Fact::new(s.rel_id("E").unwrap(), tup![DOMAIN[a], DOMAIN[b]])
@@ -307,9 +322,9 @@ proptest! {
             };
             let e = if del { Edit::delete(fact) } else { Edit::insert(fact) };
             live.apply(&e).unwrap();
-            let delta = monitor.apply_edit(&live, &e);
+            let delta = view.apply_edit(&live, &e);
             let expected = answer_set(q, &live);
-            prop_assert_eq!(monitor.answers(), expected, "after {:?}", e);
+            prop_assert_eq!(view.answers(), expected, "after {:?}", e);
             // deltas are consistent: added ∩ removed = ∅
             for t in &delta.added {
                 prop_assert!(!delta.removed.contains(t));
@@ -317,7 +332,7 @@ proptest! {
         }
     }
 
-    /// The incremental deltas of [`ViewMonitor::apply_edit`] must be
+    /// The incremental deltas of [`MaterializedView::apply_edit`] must be
     /// exactly the set difference between consecutive full re-evaluations
     /// — not just leave the maintained answer set correct.
     #[test]
@@ -337,7 +352,7 @@ proptest! {
         ];
         let q = &queries[qi];
         let mut live = db.clone();
-        let mut monitor = ViewMonitor::new(q.clone(), &live);
+        let mut view = MaterializedView::new(q.clone(), &live);
         let mut previous: BTreeSet<qoco::data::Tuple> =
             answer_set(q, &live).into_iter().collect();
         for (del, rel_choice, a, b) in edits {
@@ -348,7 +363,7 @@ proptest! {
             };
             let e = if del { Edit::delete(fact) } else { Edit::insert(fact) };
             live.apply(&e).unwrap();
-            let delta = monitor.apply_edit(&live, &e);
+            let delta = view.apply_edit(&live, &e);
             let expected: BTreeSet<qoco::data::Tuple> =
                 answer_set(q, &live).into_iter().collect();
             let added: BTreeSet<qoco::data::Tuple> =
