@@ -5,13 +5,14 @@
 //! (see `qoco-telemetry`'s `DecisionRecord`). CI runs
 //! `qoco-bench validate-decisions FILE` over a real session export to gate
 //! on the stream staying machine-readable: every decision must carry a
-//! positive, unique integer id, non-empty `kind`/`question`/`outcome`
-//! strings, and a string-valued `evidence` object. Parsing uses the
-//! workspace's dependency-free [`crate::json`] parser.
+//! positive, unique integer id, a non-empty `kind`, string `question` and
+//! `outcome`, and a string-valued `evidence` object. Each line is decoded
+//! by [`DecisionLine::from_json`]; only the id uniqueness check lives here.
 
 use std::collections::BTreeSet;
 
 use crate::json::Json;
+use qoco_telemetry::DecisionLine;
 
 /// What [`validate_decisions`] found in a valid export.
 #[derive(Debug)]
@@ -36,48 +37,15 @@ pub fn validate_decisions(text: &str, require_kinds: &[String]) -> Result<Decisi
         }
         let lineno = i + 1;
         let v = Json::parse(line).map_err(|e| format!("line {lineno}: {e}"))?;
-        if v.get("type").and_then(Json::as_str) != Some("decision") {
+        let Some(d) = DecisionLine::from_json(&v).map_err(|e| format!("line {lineno}: {e}"))?
+        else {
             continue;
-        }
+        };
         decisions += 1;
-        let id = v
-            .get("id")
-            .and_then(Json::as_f64)
-            .filter(|n| *n >= 1.0 && n.fract() == 0.0)
-            .ok_or_else(|| format!("line {lineno}: decision id must be a positive integer"))?;
-        if !seen_ids.insert(id as u64) {
-            return Err(format!(
-                "line {lineno}: duplicate decision id {}",
-                id as u64
-            ));
+        if !seen_ids.insert(d.id) {
+            return Err(format!("line {lineno}: duplicate decision id {}", d.id));
         }
-        for key in ["kind", "question", "outcome"] {
-            match v.get(key).and_then(Json::as_str) {
-                Some(s) if key != "kind" || !s.is_empty() => {}
-                Some(_) => return Err(format!("line {lineno}: empty decision kind")),
-                None => return Err(format!("line {lineno}: decision is missing string `{key}`")),
-            }
-        }
-        kinds.insert(
-            v.get("kind")
-                .and_then(Json::as_str)
-                .expect("checked above")
-                .to_string(),
-        );
-        match v.get("evidence") {
-            Some(Json::Object(map)) => {
-                for (k, val) in map {
-                    if val.as_str().is_none() {
-                        return Err(format!("line {lineno}: evidence `{k}` is not a string"));
-                    }
-                }
-            }
-            _ => {
-                return Err(format!(
-                    "line {lineno}: decision is missing its evidence object"
-                ))
-            }
-        }
+        kinds.insert(d.kind);
     }
     for k in require_kinds {
         if !kinds.contains(k) {

@@ -35,6 +35,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use crate::json::Json;
 use qoco_crowd::Journal;
+use qoco_telemetry::DecisionLine;
 
 /// Reject statuses produced before the span-wrapped dispatch runs: the
 /// request-line/header/body limits (408, 413, 414, 431) and load
@@ -135,9 +136,9 @@ fn scan_telemetry(text: &str, file: &str) -> Result<TelemetryIds, String> {
                 ids.span_ids.push(request.to_string());
             }
             Some("decision") => {
-                if let Some(request) = json.get("request").and_then(Json::as_str) {
-                    ids.decision_ids.push(request.to_string());
-                }
+                let decision = DecisionLine::from_json(&json)
+                    .map_err(|e| format!("{file}:{}: {e}: {line:?}", i + 1))?;
+                ids.decision_ids.extend(decision.and_then(|d| d.request));
             }
             _ => {}
         }

@@ -16,8 +16,6 @@
 //!   and Naïve (no split);
 //! * [`insertion`] — Algorithm 2 `CrowdAddMissingAnswer`;
 //! * [`cleaner`] — Algorithm 3, the iterative mixed cleaner;
-//! * [`multi`] — the multiple-imperfect-experts, parallel variant
-//!   (Section 6.2);
 //! * [`naive`] — the systematic-enumeration strategy of Proposition 3.4,
 //!   kept as an illustrative (exponential) baseline;
 //! * [`report`] — session reports: edits, per-phase question ledgers,
@@ -36,7 +34,6 @@ pub mod heuristics;
 pub mod hitting_set;
 pub mod insertion;
 pub mod machine;
-pub mod multi;
 pub mod naive;
 pub mod report;
 pub mod split;
@@ -65,7 +62,6 @@ pub use insertion::{
 pub use machine::{
     FinishedSession, SessionMachine, SessionSpec, SessionState, SubmitError, SubmitOutcome,
 };
-pub use multi::{clean_view_parallel, ParallelMajorityCrowd};
 pub use naive::{naive_enumeration, TargetAction};
 pub use report::{UnresolvedItem, UnresolvedPhase};
 pub use split::{

@@ -45,9 +45,8 @@
 //! divergence comparison.
 //! A truncated final line (the crash happened mid-write) is ignored on
 //! load. The journal records one oracle's global answer sequence — wrap
-//! each panel member of a sequential session with [`Journal::wrap`] so they
-//! share one sequence; the parallel crowd (`ParallelMajorityCrowd`) is not
-//! journalable because its interleaving is scheduler-dependent.
+//! each panel member of a session with [`Journal::wrap`] so they share one
+//! sequence.
 
 use std::collections::VecDeque;
 use std::fmt::Write as _;

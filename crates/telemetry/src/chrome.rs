@@ -6,8 +6,8 @@
 //! file"). Spans become `"ph":"X"` complete events and point events become
 //! `"ph":"i"` instants; each telemetry thread ordinal (see
 //! [`crate::thread_ordinal`]) maps to its own track, so spans opened on
-//! server workers or the multi-expert crowd's threads get lanes of their
-//! own.
+//! qoco-serve's threads (connection workers, parked session cleaners) get
+//! lanes of their own.
 //!
 //! The output uses the *object* form (`{"traceEvents":[…]}`), which both
 //! viewers accept and which leaves room for top-level metadata. Timestamps

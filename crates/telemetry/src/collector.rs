@@ -309,6 +309,7 @@ impl Collector for JsonlCollector {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::decision::DecisionLine;
     use std::sync::Arc;
 
     #[derive(Default)]
@@ -412,13 +413,15 @@ mod tests {
 
     #[test]
     fn jsonl_decision_lines_are_well_formed() {
-        let buf = Arc::new(Mutex::new(Vec::new()));
-        let c = JsonlCollector::from_writer(Box::new(SharedBuf(buf.clone())));
-        c.record_decision(&sample_decision());
-        c.record_decision(&DecisionRecord {
+        let plain = sample_decision();
+        let served = DecisionRecord {
             request: Some("qr-5".to_string()),
             ..sample_decision()
-        });
+        };
+        let buf = Arc::new(Mutex::new(Vec::new()));
+        let c = JsonlCollector::from_writer(Box::new(SharedBuf(buf.clone())));
+        c.record_decision(&plain);
+        c.record_decision(&served);
         c.flush();
         let text = String::from_utf8(unpoisoned(&buf).clone()).unwrap();
         let mut lines = text.lines();
@@ -430,6 +433,28 @@ mod tests {
             lines.next().unwrap(),
             r#"{"type":"decision","id":3,"at_ns":140,"span":2,"tid":0,"kind":"deletion.verify_fact","question":"TRUE(Games(\"12.07.98\"))?","outcome":"false","evidence":{"selector":"most-frequent","ranking":"g98=2 > g10=2"},"request":"qr-5"}"#
         );
+        // the shared reader decodes each line back to the recorded fields
+        for (line, record) in text.lines().zip([&plain, &served]) {
+            let json = crate::json::Json::parse(line).unwrap();
+            let decoded = DecisionLine::from_json(&json).unwrap().unwrap();
+            let mut evidence: Vec<(String, String)> = record
+                .evidence
+                .iter()
+                .map(|(k, v)| (k.to_string(), v.clone()))
+                .collect();
+            evidence.sort();
+            assert_eq!(
+                decoded,
+                DecisionLine {
+                    id: record.id,
+                    kind: record.kind.to_string(),
+                    question: record.question.clone(),
+                    outcome: record.outcome.clone(),
+                    evidence,
+                    request: record.request.clone(),
+                }
+            );
+        }
     }
 
     #[test]

@@ -24,6 +24,8 @@
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use crate::json::Json;
+
 /// Session-scoped decision id counter; reset to 1 on every
 /// [`crate::install`] so fresh and resumed runs of the same session agree.
 pub(crate) static NEXT_DECISION_ID: AtomicU64 = AtomicU64::new(1);
@@ -68,6 +70,78 @@ impl DecisionRecord {
             .iter()
             .find(|(k, _)| *k == key)
             .map(|(_, v)| v.as_str())
+    }
+}
+
+/// One `"type":"decision"` line of a JSONL export (see
+/// [`crate::JsonlCollector`]), decoded into owned fields.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct DecisionLine {
+    /// Session-scoped id, a positive integer.
+    pub id: u64,
+    /// Decision kind, non-empty.
+    pub kind: String,
+    /// The question posed (or action taken).
+    pub question: String,
+    /// What came of it.
+    pub outcome: String,
+    /// Evidence pairs, sorted by key (a JSON object has no order).
+    pub evidence: Vec<(String, String)>,
+    /// The HTTP request the decision was made under, if any.
+    pub request: Option<String>,
+}
+
+impl DecisionLine {
+    /// Decode one parsed JSONL line: `Ok(None)` when it is not a decision
+    /// (spans, events, metrics and samples share the stream), an error when
+    /// it is a decision without a positive integer id, a non-empty kind,
+    /// string question and outcome, and a string-valued evidence object.
+    /// Duplicate ids span lines, so checking them is the caller's job.
+    pub fn from_json(v: &Json) -> Result<Option<DecisionLine>, String> {
+        if v.get("type").and_then(Json::as_str) != Some("decision") {
+            return Ok(None);
+        }
+        let id = v
+            .get("id")
+            .and_then(Json::as_f64)
+            .filter(|n| *n >= 1.0 && n.fract() == 0.0)
+            .ok_or("decision id must be a positive integer")? as u64;
+        let text = |key: &str| {
+            v.get(key)
+                .and_then(Json::as_str)
+                .map(str::to_string)
+                .ok_or_else(|| format!("decision is missing string `{key}`"))
+        };
+        let kind = text("kind")?;
+        if kind.is_empty() {
+            return Err("empty decision kind".to_string());
+        }
+        let Some(Json::Object(map)) = v.get("evidence") else {
+            return Err("decision is missing its evidence object".to_string());
+        };
+        let evidence = map
+            .iter()
+            .map(|(k, val)| match val.as_str() {
+                Some(s) => Ok((k.clone(), s.to_string())),
+                None => Err(format!("evidence `{k}` is not a string")),
+            })
+            .collect::<Result<_, _>>()?;
+        let request = match v.get("request") {
+            None => None,
+            Some(r) => Some(
+                r.as_str()
+                    .ok_or("decision `request` is not a string")?
+                    .to_string(),
+            ),
+        };
+        Ok(Some(DecisionLine {
+            id,
+            kind,
+            question: text("question")?,
+            outcome: text("outcome")?,
+            evidence,
+            request,
+        }))
     }
 }
 

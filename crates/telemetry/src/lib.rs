@@ -81,7 +81,7 @@ pub use chrome::{chrome_trace_json, chrome_trace_json_full};
 pub use collector::{Collector, FanoutCollector, InMemoryCollector, JsonlCollector};
 pub use decision::{
     begin_decision, current_decision_id, finish_decision, record_decision, DecisionDetail,
-    DecisionRecord,
+    DecisionLine, DecisionRecord,
 };
 pub use flame::flamegraph_svg;
 pub use metrics::{HistogramSummary, MetricsRegistry, MetricsSnapshot, BUCKET_BOUNDS};
@@ -593,8 +593,9 @@ mod tests {
 
     #[test]
     fn cross_thread_spans_carry_distinct_thread_ordinals() {
-        // serve workers and the multi-expert crowd open spans on threads of
-        // their own; each thread gets its own ordinal (its trace track)
+        // qoco-serve's connection workers and parked session cleaners open
+        // spans on threads of their own; each thread gets its own ordinal
+        // (its trace track)
         let collector = Arc::new(InMemoryCollector::new());
         let session = session(collector.clone());
         {

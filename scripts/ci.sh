@@ -31,12 +31,14 @@ if grep -rnE 'panic_any|catch_unwind|set_hook|take_hook' src crates/*/src; then
   exit 1
 fi
 
-echo "== evaluation stays on the calling thread =="
-# the parallel evaluation path and its thread knob are gone; nothing may
-# bring back a thread-pool dependency, its env var or cross-thread span
-# parenting
-if grep -rnE 'rayon|RAYON_NUM_THREADS|span_child_of|par_chunk' src crates shims Cargo.toml; then
-  echo "parallel-evaluation remnants (listed above)" >&2
+echo "== evaluation stays on the calling thread, one cleaning loop =="
+# the parallel evaluation path and its thread knob are gone, and so is the
+# forked multi-expert cleaner: every Algorithm 3 session runs through
+# clean_view. Nothing may bring back a thread-pool or scoped-thread
+# dependency, its env var, cross-thread span parenting or the fork
+if grep -rnE 'rayon|RAYON_NUM_THREADS|span_child_of|par_chunk|crossbeam|parking_lot|ParallelMajorityCrowd|clean_view_parallel' \
+  src crates shims examples tests Cargo.toml; then
+  echo "parallel-evaluation or forked-cleaner remnants (listed above)" >&2
   exit 1
 fi
 
@@ -67,12 +69,17 @@ cargo run -q --release -p qoco-bench --bin figures -- $figure_targets \
   || { echo "figures: counts differ from scripts/figures.golden (diff above)" >&2; exit 1; }
 echo "figure counts match scripts/figures.golden: OK"
 
+echo "== examples =="
+# every example must run clean; most assert their outcome (the
+# imperfect-crowd panel must converge at every error rate it prints)
+for example in examples/*.rs; do
+  cargo run -q --release --example "$(basename "$example" .rs)" > /dev/null
+done
+
 echo "== telemetry smoke-run =="
-# the quickstart example must run clean...
-cargo run --release --example quickstart > /dev/null
-# ...and the same Figure 1 scenario through qoco-cli must emit both a
-# non-trivial JSONL export covering the cleaning phases and a
-# Perfetto-loadable Chrome trace
+# the Figure 1 scenario through qoco-cli must emit both a non-trivial
+# JSONL export covering the cleaning phases and a Perfetto-loadable Chrome
+# trace
 work="$(mktemp -d -t qoco-ci-XXXXXX)"
 trap 'rm -rf "$work"' EXIT
 trace="$work/trace.jsonl"

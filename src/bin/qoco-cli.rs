@@ -96,6 +96,7 @@ use qoco::data::{diff, load_dir, save_dir, Database, Schema, SchemaBuilder, Valu
 use qoco::engine::{answer_set, explain, witnesses_for_answer};
 use qoco::query::{parse_query, ConjunctiveQuery};
 use qoco_telemetry::json::Json;
+use qoco_telemetry::DecisionLine;
 
 /// Exit code of a `--kill-after` abort, distinct from ordinary failures so
 /// scripts (and `scripts/ci.sh`) can assert the death was the deliberate one.
@@ -760,20 +761,6 @@ const NON_QUESTION_KINDS: &[&str] = &[
     "crowd.escalation",
 ];
 
-/// One `"type":"decision"` line of a telemetry JSONL export, flattened.
-struct DecisionLine {
-    id: u64,
-    kind: String,
-    question: String,
-    outcome: String,
-    /// Sorted by key (the exporter writes a JSON object; `Json` parses it
-    /// into a `BTreeMap`), which keeps the report deterministic.
-    evidence: Vec<(String, String)>,
-    /// The HTTP request the decision was made under, when the log came
-    /// from a `qoco-serve --telemetry` run.
-    request: Option<String>,
-}
-
 fn run_explain(args: &[String]) -> io::Result<()> {
     let invalid = |msg: String| io::Error::new(io::ErrorKind::InvalidInput, msg);
     let [path] = args else {
@@ -807,40 +794,9 @@ fn parse_decision_log(text: &str) -> Result<Vec<DecisionLine>, String> {
         if line.is_empty() {
             continue;
         }
-        let v = Json::parse(line).map_err(|e| format!("line {}: {e}", i + 1))?;
-        if v.get("type").and_then(Json::as_str) != Some("decision") {
-            continue;
-        }
-        let field = |k: &str| {
-            v.get(k)
-                .and_then(Json::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("line {}: decision is missing `{k}`", i + 1))
-        };
-        let id = v
-            .get("id")
-            .and_then(Json::as_f64)
-            .filter(|n| *n >= 1.0)
-            .ok_or_else(|| format!("line {}: decision is missing a positive `id`", i + 1))?
-            as u64;
-        let mut evidence = Vec::new();
-        if let Some(Json::Object(map)) = v.get("evidence") {
-            for (k, val) in map {
-                let rendered = val
-                    .as_str()
-                    .map(str::to_string)
-                    .unwrap_or_else(|| format!("{val:?}"));
-                evidence.push((k.clone(), rendered));
-            }
-        }
-        out.push(DecisionLine {
-            id,
-            kind: field("kind")?,
-            question: field("question")?,
-            outcome: field("outcome")?,
-            evidence,
-            request: v.get("request").and_then(Json::as_str).map(str::to_string),
-        });
+        let at = |e: String| format!("line {}: {e}", i + 1);
+        let v = Json::parse(line).map_err(|e| at(e.to_string()))?;
+        out.extend(DecisionLine::from_json(&v).map_err(at)?);
     }
     Ok(out)
 }

@@ -27,8 +27,8 @@ use std::net::TcpStream;
 use std::time::Duration;
 
 use qoco::core::{SessionMachine, SessionState};
-use qoco::crowd::{tagged_value, Answer, Oracle, PerfectOracle};
-use qoco::serve::{figure1_ground, figure1_spec, ServeOptions, SessionRegistry};
+use qoco::crowd::{Answer, Oracle, PerfectOracle};
+use qoco::serve::{encode_answer, figure1_ground, figure1_spec, ServeOptions, SessionRegistry};
 use qoco_core::SessionStore;
 use qoco_telemetry::json::Json;
 use qoco_telemetry::{Collector, EventRecord, MetricsServer, ServerOptions, SpanRecord};
@@ -212,36 +212,6 @@ fn http(
     Ok((status.to_string(), body.to_string()))
 }
 
-/// Render one answer as a `POST /answers` item.
-fn answer_item(seq: u64, answer: &Answer) -> String {
-    match answer {
-        Answer::Bool(b) => format!("{{\"seq\":{seq},\"bool\":{b}}}"),
-        Answer::MissingAnswer(None) => format!("{{\"seq\":{seq},\"missing\":null}}"),
-        Answer::MissingAnswer(Some(t)) => {
-            let cells: Vec<String> = t
-                .values()
-                .iter()
-                .map(|v| format!("\"{}\"", tagged_value(v).replace('"', "\\\"")))
-                .collect();
-            format!("{{\"seq\":{seq},\"missing\":[{}]}}", cells.join(","))
-        }
-        Answer::Completion(None) => format!("{{\"seq\":{seq},\"completion\":null}}"),
-        Answer::Completion(Some(a)) => {
-            let binds: Vec<String> = a
-                .iter()
-                .map(|(var, value)| {
-                    format!(
-                        "\"{}\":\"{}\"",
-                        var.name(),
-                        tagged_value(value).replace('"', "\\\"")
-                    )
-                })
-                .collect();
-            format!("{{\"seq\":{seq},\"completion\":{{{}}}}}", binds.join(","))
-        }
-    }
-}
-
 fn cmd_oracle(args: &[String]) -> Result<(), String> {
     let addr = flag_value(args, "--addr").ok_or("oracle needs --addr HOST:PORT")?;
     let session = flag_value(args, "--session").ok_or("oracle needs --session ID")?;
@@ -311,7 +281,7 @@ fn cmd_oracle(args: &[String]) -> Result<(), String> {
             answers.push(answer);
         }
 
-        let item = answer_item(seq, &answers[(seq - 1) as usize]);
+        let item = encode_answer(seq, &answers[(seq - 1) as usize]);
         let payload = format!("{{\"epoch\":{epoch},\"answers\":[{item}]}}");
         let (status, body) = http(
             addr,

@@ -47,7 +47,7 @@
 //! | [`engine`] | evaluation (all valid assignments), witnesses, satisfiability, why-not analysis |
 //! | [`graph`] | Edmonds–Karp max-flow, Stoer–Wagner global min-cut |
 //! | [`crowd`] | question types, perfect/imperfect oracles, majority voting, cost ledger, enumeration black-box |
-//! | [`core`] | Algorithms 1–3, hitting sets, split strategies, baselines, the parallel multi-expert cleaner |
+//! | [`core`] | Algorithms 1–3, hitting sets, split strategies, baselines |
 //! | [`datasets`] | the Soccer and DBGroup generators, noise injection, the evaluation queries |
 //! | [`telemetry`] | spans, counters/histograms, JSONL export, session timelines (zero-cost when disabled) |
 //! | [`serve`] | parked cleaning sessions over HTTP: the `qoco-serve` session registry and JSON API |

@@ -242,6 +242,27 @@ fn decode_answer(item: &Json) -> Result<(u64, Result<Answer, OracleError>), Stri
     Err("answer item needs one of `bool`, `completion`, `missing`, `fault`".to_string())
 }
 
+/// Render one answer as a `POST /answers` item, the shape
+/// [`decode_answer`] reads back.
+pub fn encode_answer(seq: u64, answer: &Answer) -> String {
+    let mut out = format!("{{\"seq\":{seq},");
+    match answer {
+        Answer::Bool(b) => out.push_str(&format!("\"bool\":{b}")),
+        Answer::Completion(None) => out.push_str("\"completion\":null"),
+        Answer::Completion(Some(a)) => {
+            out.push_str("\"completion\":");
+            push_assignment(&mut out, a);
+        }
+        Answer::MissingAnswer(None) => out.push_str("\"missing\":null"),
+        Answer::MissingAnswer(Some(t)) => {
+            out.push_str("\"missing\":");
+            push_tuple(&mut out, t);
+        }
+    }
+    out.push('}');
+    out
+}
+
 /// Decode the `POST /sessions` body into a spec: either a named example
 /// or an inline schema + rows + query.
 fn decode_spec(body: &Json) -> Result<SessionSpec, String> {
@@ -794,6 +815,33 @@ impl RouteHandler for SessionRegistry {
 mod tests {
     use super::*;
     use qoco_crowd::{Oracle, PerfectOracle};
+
+    #[test]
+    fn encoded_answers_decode_to_the_same_answer() {
+        let awkward = "back\\slash \"quoted\"\ttab";
+        let mut a = Assignment::new();
+        a.bind(Var::new("x"), Value::text(awkward));
+        a.bind(Var::new(awkward), Value::int(-3));
+        let answers = [
+            Answer::Bool(true),
+            Answer::Bool(false),
+            Answer::Completion(Some(a)),
+            Answer::Completion(None),
+            Answer::MissingAnswer(Some(Tuple::new(vec![
+                Value::text(awkward),
+                Value::int(1990),
+            ]))),
+            Answer::MissingAnswer(None),
+        ];
+        for (i, answer) in answers.iter().enumerate() {
+            let seq = i as u64 + 1;
+            let item = encode_answer(seq, answer);
+            let json = Json::parse(&item).unwrap_or_else(|e| panic!("{item}: {e}"));
+            let (got_seq, got) = decode_answer(&json).unwrap();
+            assert_eq!(got_seq, seq);
+            assert_eq!(got.as_ref(), Ok(answer), "{item}");
+        }
+    }
 
     fn tmp_store(tag: &str) -> SessionStore {
         let dir = std::env::temp_dir().join(format!(

@@ -2,18 +2,20 @@
 //! across the full cleaning pipeline.
 //!
 //! Every fault here is scripted through a [`FaultPlan`], so each scenario
-//! is exactly reproducible: a dropped expert must degrade the session to a
-//! clean *partial* report (never a panic), a majority panel must degrade
-//! its quorum and still converge, a no-fault plan must be question-for-
-//! question identical to no fault injection at all, and the fault counters
-//! must surface in the Prometheus exposition.
+//! is exactly reproducible: a dropped expert (or a whole dropped panel) must
+//! degrade the session to a clean *partial* report (never a panic), a
+//! majority panel must degrade its quorum or outvote a liar and still
+//! converge, a no-fault plan must be question-for-question identical to no
+//! fault injection at all, and the fault counters must surface in the
+//! Prometheus exposition.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use qoco::core::{clean_view, CleaningConfig};
 use qoco::crowd::{
-    CrowdAccess, FaultPlan, FaultyOracle, MajorityCrowd, PerfectOracle, SingleExpert,
+    CrowdAccess, FaultPlan, FaultyOracle, ImperfectOracle, MajorityCrowd, Oracle, PerfectOracle,
+    SingleExpert,
 };
 use qoco::data::{tup, Database, Schema};
 use qoco::engine::answer_set;
@@ -88,6 +90,29 @@ fn a_dropped_expert_yields_a_clean_partial_report() {
         assert!(phases.contains(phase), "missing {phase} in {phases:?}");
     }
     assert!(crowd.stats().faults >= 1);
+
+    // a whole majority panel that drops before its first answer confirms
+    // nothing: every answer is unverifiable, the completeness probe is
+    // unreachable, and nothing is edited
+    let (mut dirty, ground) = fixtures();
+    let mut panel = MajorityCrowd::new(vec![
+        faulty(&ground, "drop@0"),
+        faulty(&ground, "drop@0"),
+        faulty(&ground, "drop@0"),
+    ]);
+    let report = clean_view(&q, &mut dirty, &mut panel, CleaningConfig::default())
+        .expect("a dead panel is a partial report, not an error");
+    assert!(report.is_partial());
+    let phases: BTreeSet<String> = report
+        .unresolved
+        .iter()
+        .map(|u| u.phase.to_string())
+        .collect();
+    for phase in ["verify", "insert"] {
+        assert!(phases.contains(phase), "missing {phase} in {phases:?}");
+    }
+    assert_eq!(panel.alive(), 0);
+    assert!(report.edits.is_empty(), "nothing confirmed, nothing edited");
 }
 
 #[test]
@@ -105,6 +130,19 @@ fn majority_crowd_degrades_quorum_and_still_converges() {
     assert!(!report.is_partial(), "{report}");
     assert_eq!(crowd.alive(), 2);
     assert!(crowd.stats().faults >= 1);
+    assert_eq!(answer_set(&q, &dirty), answer_set(&q, &ground.clone()));
+
+    // an expert who lies on every answer is outvoted by the other two
+    let (mut dirty, ground) = fixtures();
+    let experts: Vec<Box<dyn Oracle>> = vec![
+        Box::new(ImperfectOracle::new(ground.clone(), 1.0, 99)),
+        Box::new(PerfectOracle::new(ground.clone())),
+        Box::new(PerfectOracle::new(ground.clone())),
+    ];
+    let mut crowd = MajorityCrowd::new(experts);
+    let report = clean_view(&q, &mut dirty, &mut crowd, CleaningConfig::default()).unwrap();
+    assert!(!report.is_partial(), "{report}");
+    assert_eq!(report.anomalies, 0);
     assert_eq!(answer_set(&q, &dirty), answer_set(&q, &ground.clone()));
 }
 
