@@ -1,11 +1,10 @@
-//! Graph-substrate benchmarks: Stoer–Wagner global min-cut and
-//! Edmonds–Karp max-flow on synthetic graphs far larger than any query
-//! graph, demonstrating headroom.
+//! Graph-substrate benchmark: Stoer–Wagner global min-cut on synthetic
+//! graphs far larger than any query graph, demonstrating headroom.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-use qoco_graph::{global_min_cut, max_flow, FlowNetwork, WeightedGraph};
+use qoco_graph::{global_min_cut, WeightedGraph};
 
 /// A deterministic pseudo-random weighted graph.
 fn random_graph(n: usize, density_pct: u64) -> WeightedGraph {
@@ -42,25 +41,5 @@ fn bench_mincut(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_maxflow(c: &mut Criterion) {
-    let mut group = c.benchmark_group("edmonds_karp");
-    for n in [8usize, 32, 64] {
-        let wg = random_graph(n, 30);
-        let mut net = FlowNetwork::new(n);
-        for u in 0..n {
-            for v in (u + 1)..n {
-                let w = wg.weight(u, v);
-                if w > 0 {
-                    net.add_undirected_edge(u, v, w as i64);
-                }
-            }
-        }
-        group.bench_function(format!("n={n}"), |b| {
-            b.iter(|| black_box(max_flow(&net, 0, n - 1)))
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(benches, bench_mincut, bench_maxflow);
+criterion_group!(benches, bench_mincut);
 criterion_main!(benches);

@@ -140,7 +140,7 @@ pub fn crowd_remove_wrong_answer_with<C: CrowdAccess + ?Sized>(
 
 /// [`crowd_remove_wrong_answer_with`], additionally maintaining `views`
 /// per derived edit (see [`crowd_remove_wrong_answer_tracked`]).
-pub fn crowd_remove_wrong_answer_with_tracked<C: CrowdAccess + ?Sized>(
+fn crowd_remove_wrong_answer_with_tracked<C: CrowdAccess + ?Sized>(
     q: &ConjunctiveQuery,
     db: &mut Database,
     t: &Tuple,

@@ -13,17 +13,9 @@ pub enum CleanError {
     Data(DataError),
     /// Query transformation failure (embedding, splitting).
     Query(QueryError),
-    /// The crowd could not produce a witness for a missing answer (with a
-    /// perfect oracle this means the target tuple is not a true answer).
-    NoWitness(String),
     /// The iteration budget was exhausted before convergence (only possible
     /// with imperfect crowds).
     IterationBudget {
-        /// The configured budget.
-        budget: usize,
-    },
-    /// The naïve enumeration exhausted its question budget.
-    QuestionBudget {
         /// The configured budget.
         budget: usize,
     },
@@ -39,14 +31,8 @@ impl fmt::Display for CleanError {
         match self {
             CleanError::Data(e) => write!(f, "data error: {e}"),
             CleanError::Query(e) => write!(f, "query error: {e}"),
-            CleanError::NoWitness(t) => {
-                write!(f, "the crowd could not provide a witness for {t}")
-            }
             CleanError::IterationBudget { budget } => {
                 write!(f, "cleaning did not converge within {budget} iterations")
-            }
-            CleanError::QuestionBudget { budget } => {
-                write!(f, "enumeration exceeded the {budget}-question budget")
             }
             CleanError::CrowdUnavailable(e) => write!(f, "{e}"),
         }
@@ -79,15 +65,9 @@ mod tests {
 
     #[test]
     fn display_covers_variants() {
-        assert!(CleanError::NoWitness("(ITA)".into())
-            .to_string()
-            .contains("ITA"));
         assert!(CleanError::IterationBudget { budget: 5 }
             .to_string()
             .contains('5'));
-        assert!(CleanError::QuestionBudget { budget: 9 }
-            .to_string()
-            .contains('9'));
         let d: CleanError = DataError::SchemaMismatch.into();
         assert!(d.to_string().contains("schema"));
         let q: CleanError = QueryError::EmptyBody.into();

@@ -16,8 +16,6 @@
 //!   and Naïve (no split);
 //! * [`insertion`] — Algorithm 2 `CrowdAddMissingAnswer`;
 //! * [`cleaner`] — Algorithm 3, the iterative mixed cleaner;
-//! * [`naive`] — the systematic-enumeration strategy of Proposition 3.4,
-//!   kept as an illustrative (exponential) baseline;
 //! * [`report`] — session reports: edits, per-phase question ledgers,
 //!   convergence data.
 
@@ -26,7 +24,6 @@
 
 pub mod cleaner;
 pub mod composite;
-pub mod constrained;
 pub mod deletion;
 pub mod error;
 pub mod figure1;
@@ -34,7 +31,6 @@ pub mod heuristics;
 pub mod hitting_set;
 pub mod insertion;
 pub mod machine;
-pub mod naive;
 pub mod report;
 pub mod split;
 pub mod store;
@@ -43,12 +39,9 @@ pub mod ucq_clean;
 
 pub use cleaner::{clean_view, clean_view_with_estimator, CleaningConfig, CleaningReport};
 pub use composite::{crowd_remove_wrong_answer_composite, find_false_facts};
-pub use constrained::{
-    apply_all_with_constraints, apply_edit_with_constraints, ConstrainedOutcome,
-};
 pub use deletion::{
     crowd_remove_wrong_answer, crowd_remove_wrong_answer_tracked, crowd_remove_wrong_answer_with,
-    crowd_remove_wrong_answer_with_tracked, DeletionOutcome, DeletionStrategy,
+    DeletionOutcome, DeletionStrategy,
 };
 pub use error::CleanError;
 pub use figure1::{figure1_ground, figure1_spec};
@@ -62,7 +55,6 @@ pub use insertion::{
 pub use machine::{
     FinishedSession, SessionMachine, SessionSpec, SessionState, SubmitError, SubmitOutcome,
 };
-pub use naive::{naive_enumeration, TargetAction};
 pub use report::{UnresolvedItem, UnresolvedPhase};
 pub use split::{
     InstrumentedSplit, MinCutSplit, NaiveSplit, ProvenanceSplit, RandomSplit, SplitStrategy,

@@ -502,6 +502,46 @@ mod tests {
     }
 
     #[test]
+    fn constants_needing_escapes_survive_create_and_load() {
+        use qoco_query::{Atom, ConjunctiveQuery, Inequality, Term, Var};
+        let dir = tmpdir("escapes");
+        let store = SessionStore::open(&dir).unwrap();
+        let mut spec = fig1_spec();
+        let schema = spec.dirty.schema().clone();
+        let games = schema.rel_id("Games").unwrap();
+        let teams = schema.rel_id("Teams").unwrap();
+        spec.query = ConjunctiveQuery::new(
+            schema,
+            "Q",
+            vec![Term::var("x")],
+            vec![
+                Atom::new(teams, vec![Term::var("x"), Term::cons("C:\\eu")]),
+                Atom::new(
+                    games,
+                    vec![
+                        Term::var("d"),
+                        Term::var("x"),
+                        Term::var("y"),
+                        Term::cons("E\tU"),
+                        Term::var("u"),
+                    ],
+                ),
+            ],
+            vec![
+                Inequality::new(Var::new("y"), Term::cons("E\u{200b}U")),
+                Inequality::new(Var::new("u"), Term::cons("say \"hi\"\n")),
+            ],
+        )
+        .unwrap();
+        store.create("s1", &spec).unwrap();
+        let (loaded, _) = store.load("s1").unwrap();
+        assert_eq!(loaded.query.head(), spec.query.head());
+        assert_eq!(loaded.query.atoms(), spec.query.atoms());
+        assert_eq!(loaded.query.inequalities(), spec.query.inequalities());
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn a_crashed_create_leaves_only_a_staging_dir_that_open_removes() {
         let dir = tmpdir("staging");
         let store = SessionStore::open(&dir).unwrap();

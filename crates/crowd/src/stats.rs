@@ -66,18 +66,6 @@ impl CrowdStats {
         self.verify_answer_questions + self.verify_fact_questions + self.satisfiable_questions
     }
 
-    /// The paper's "# questions" for deletion figures: tuple-verification
-    /// questions (`TRUE(R(ā))?`).
-    pub fn deletion_questions(&self) -> usize {
-        self.verify_fact_questions
-    }
-
-    /// The paper's "# questions" for insertion figures: variables filled by
-    /// the crowd, plus satisfiability checks answered along the way.
-    pub fn insertion_questions(&self) -> usize {
-        self.filled_variables + self.satisfiable_questions
-    }
-
     /// Total crowd answers (Figure 4's y-axis): closed answers plus
     /// open-answer variables.
     pub fn total_crowd_answers(&self) -> usize {
@@ -258,8 +246,6 @@ mod tests {
             ..Default::default()
         };
         assert_eq!(s.closed_questions(), 6);
-        assert_eq!(s.deletion_questions(), 2);
-        assert_eq!(s.insertion_questions(), 7);
         assert_eq!(s.total_crowd_answers(), 10);
         assert_eq!(s.total_cost(), 10);
     }

@@ -137,8 +137,7 @@ impl Database {
     }
 
     /// All distinct constants appearing anywhere in the database — the
-    /// *active domain*, used for systematic enumeration (Proposition 3.4)
-    /// and for noise generation.
+    /// *active domain*, from which imperfect oracles draw wrong values.
     pub fn active_domain(&self) -> Vec<Value> {
         let mut dom: Vec<Value> = self
             .facts()

@@ -88,28 +88,6 @@ pub fn cleanliness(d: &Database, ground: &Database) -> Result<f64, DataError> {
     Ok(diff(d, ground)?.cleanliness())
 }
 
-/// Noise skewness of `d` w.r.t. `ground` (Section 7.2).
-pub fn noise_skewness(d: &Database, ground: &Database) -> Result<f64, DataError> {
-    Ok(diff(d, ground)?.skewness())
-}
-
-/// Degree of *result* cleanliness (Section 7.2): given the answer sets
-/// `Q(D)` and `Q(D_G)` as tuple sets, `|Q(D) ∩ Q(D_G)| / (|Q(D)| +
-/// |Q(D_G) − Q(D)|)`.
-pub fn result_cleanliness<T: Eq + std::hash::Hash>(
-    answers: &HashSet<T>,
-    true_answers: &HashSet<T>,
-) -> f64 {
-    let common = answers.intersection(true_answers).count();
-    let missing = true_answers.difference(answers).count();
-    let denom = answers.len() + missing;
-    if denom == 0 {
-        1.0
-    } else {
-        common as f64 / denom as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -168,11 +146,11 @@ mod tests {
         // Only false tuples → skew 1.0.
         let only_false = db(&s, &["a", "x"]);
         let g = db(&s, &["a"]);
-        assert_eq!(noise_skewness(&only_false, &g).unwrap(), 1.0);
+        assert_eq!(diff(&only_false, &g).unwrap().skewness(), 1.0);
         // Only missing tuples → skew 0.0.
         let only_missing = db(&s, &["a"]);
         let g2 = db(&s, &["a", "m"]);
-        assert_eq!(noise_skewness(&only_missing, &g2).unwrap(), 0.0);
+        assert_eq!(diff(&only_missing, &g2).unwrap().skewness(), 0.0);
     }
 
     #[test]
@@ -185,16 +163,6 @@ mod tests {
         let g = db(&s, &["t1", "t2", "m1"]);
         // true=2, false=1, missing=1 → 2 = 1+1, cleanliness 0.5.
         assert!((cleanliness(&d, &g).unwrap() - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn result_cleanliness_counts_answers() {
-        let a: HashSet<u32> = [1, 2, 3].into();
-        let t: HashSet<u32> = [2, 3, 4].into();
-        // common=2, |Q(D)|=3, missing=1 → 2/4
-        assert!((result_cleanliness(&a, &t) - 0.5).abs() < 1e-12);
-        let empty: HashSet<u32> = HashSet::new();
-        assert_eq!(result_cleanliness(&empty, &empty), 1.0);
     }
 
     #[test]

@@ -43,17 +43,6 @@ impl Edit {
             fact,
         }
     }
-
-    /// The edit that undoes this one.
-    pub fn inverse(&self) -> Edit {
-        Edit {
-            kind: match self.kind {
-                EditKind::Insert => EditKind::Delete,
-                EditKind::Delete => EditKind::Insert,
-            },
-            fact: self.fact.clone(),
-        }
-    }
 }
 
 impl fmt::Debug for Edit {
@@ -140,13 +129,6 @@ mod tests {
 
     fn fact(s: &str) -> Fact {
         Fact::new(RelId::from_index(0), tup![s])
-    }
-
-    #[test]
-    fn inverse_flips_kind() {
-        let e = Edit::insert(fact("a"));
-        assert_eq!(e.inverse().kind, EditKind::Delete);
-        assert_eq!(e.inverse().inverse(), e);
     }
 
     #[test]

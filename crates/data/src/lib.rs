@@ -16,7 +16,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod constraints;
 pub mod database;
 pub mod diff;
 pub mod edit;
@@ -27,9 +26,8 @@ pub mod schema;
 pub mod tuple;
 pub mod value;
 
-pub use constraints::{ConstraintSet, ForeignKey, KeyConstraint, Violation};
 pub use database::Database;
-pub use diff::{cleanliness, diff, distance, noise_skewness, result_cleanliness, DiffReport};
+pub use diff::{cleanliness, diff, distance, DiffReport};
 pub use edit::{Edit, EditKind, EditLog};
 pub use error::DataError;
 pub use io::{load_dir, save_dir, IoError};

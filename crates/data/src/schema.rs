@@ -164,14 +164,6 @@ impl SchemaBuilder {
         self
     }
 
-    /// Declare a relation by arity with synthesized attribute names
-    /// (`a0 … a{n-1}`), convenient for reduction gadgets and tests.
-    pub fn relation_arity(self, name: &str, arity: usize) -> Self {
-        let attrs: Vec<String> = (0..arity).map(|i| format!("a{i}")).collect();
-        let attr_refs: Vec<&str> = attrs.iter().map(|s| s.as_str()).collect();
-        self.relation(name, &attr_refs)
-    }
-
     /// Finish the schema.
     pub fn build(self) -> Result<Arc<Schema>, DataError> {
         if let Some(e) = self.error {
@@ -226,13 +218,6 @@ mod tests {
             r.unwrap_err(),
             DataError::DuplicateRelation("A".to_string())
         );
-    }
-
-    #[test]
-    fn relation_arity_synthesizes_names() {
-        let s = Schema::builder().relation_arity("R", 3).build().unwrap();
-        let id = s.rel_id("R").unwrap();
-        assert_eq!(s.relation(id).unwrap().attrs(), &["a0", "a1", "a2"]);
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! The value domain of the database.
 //!
-//! The paper assumes a single underlying vocabulary `C` of constants with an
-//! order (needed for the naïve enumeration strategy of Proposition 3.4).
+//! The paper assumes a single underlying vocabulary `C` of constants.
 //! We model it as a small enum of integers and interned strings. String
 //! payloads are `Arc<str>` so that tuples, facts and witnesses can be cloned
 //! cheaply while the algorithms shuffle them between witness sets, hitting
@@ -14,8 +13,8 @@ use std::sync::Arc;
 
 /// A single constant of the underlying vocabulary.
 ///
-/// `Value` is totally ordered (integers sort before text) so the domain can
-/// be systematically enumerated, as required by Proposition 3.4 of the paper.
+/// `Value` is totally ordered (integers sort before text), so answer sets,
+/// witnesses and reports sort deterministically.
 #[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Value {
     /// An integer constant (years, scores-as-numbers, counts, ids).
@@ -56,21 +55,6 @@ impl Value {
         match self {
             Value::Int(i) => Cow::Owned(i.to_string()),
             Value::Text(s) => Cow::Borrowed(s),
-        }
-    }
-
-    /// The immediate successor of this value in the (Int, then Text) domain
-    /// order. Used by the naïve systematic-enumeration baseline
-    /// (Proposition 3.4); text successors append `'\u{1}'` which is the
-    /// smallest strict extension in lexicographic order.
-    pub fn successor(&self) -> Value {
-        match self {
-            Value::Int(i) => Value::Int(i.saturating_add(1)),
-            Value::Text(s) => {
-                let mut owned = s.to_string();
-                owned.push('\u{1}');
-                Value::Text(Arc::from(owned.as_str()))
-            }
         }
     }
 }
@@ -158,26 +142,6 @@ mod tests {
     fn order_is_total_on_ints() {
         assert!(Value::int(1) < Value::int(2));
         assert!(Value::int(-5) < Value::int(0));
-    }
-
-    #[test]
-    fn successor_of_int_increments() {
-        assert_eq!(Value::int(7).successor(), Value::int(8));
-    }
-
-    #[test]
-    fn successor_of_max_int_saturates() {
-        assert_eq!(Value::int(i64::MAX).successor(), Value::int(i64::MAX));
-    }
-
-    #[test]
-    fn successor_of_text_is_strictly_greater_and_minimal_extension() {
-        let v = Value::text("abc");
-        let s = v.successor();
-        assert!(s > v);
-        // No text value strictly between v and its successor shares the
-        // prefix "abc" and is shorter than the successor.
-        assert_eq!(s, Value::text("abc\u{1}"));
     }
 
     #[test]

@@ -71,14 +71,6 @@ impl Assignment {
         q.vars().iter().all(|v| self.map.contains_key(v))
     }
 
-    /// The unbound variables of `q` under this assignment.
-    pub fn unbound_vars(&self, q: &ConjunctiveQuery) -> Vec<Var> {
-        q.vars()
-            .into_iter()
-            .filter(|v| !self.map.contains_key(v))
-            .collect()
-    }
-
     /// Ground a term: constants pass through, bound variables are replaced,
     /// unbound variables yield `None`.
     pub fn ground_term(&self, t: &Term) -> Option<Value> {
@@ -235,7 +227,7 @@ mod tests {
     }
 
     #[test]
-    fn totality_and_unbound_vars() {
+    fn totality_is_syntactic() {
         let s = schema();
         let q = q1(&s);
         let mut a = Assignment::new();
@@ -245,7 +237,6 @@ mod tests {
         }
         // all same value violates d1 != d2 but totality is syntactic
         assert!(a.is_total_for(&q));
-        assert!(a.unbound_vars(&q).is_empty());
     }
 
     #[test]

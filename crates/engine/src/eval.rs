@@ -45,7 +45,6 @@
 //! `max_assignments` assignments in discovery order.
 
 use std::cmp::Reverse;
-use std::collections::HashMap;
 use std::fmt::Write as _;
 
 use qoco_data::{Database, Relation, Tuple, TupleId, Value};
@@ -701,20 +700,6 @@ pub fn explain(q: &ConjunctiveQuery, db: &Database) -> String {
     out
 }
 
-/// Group all valid assignments by the answer they produce.
-pub fn assignments_by_answer(
-    q: &ConjunctiveQuery,
-    db: &Database,
-) -> HashMap<Tuple, Vec<Assignment>> {
-    let res = evaluate(q, db);
-    let mut map: HashMap<Tuple, Vec<Assignment>> = HashMap::new();
-    for a in res.assignments {
-        let head = a.ground_head(q).expect("valid assignments are total");
-        map.entry(head).or_default().push(a);
-    }
-    map
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -994,16 +979,6 @@ mod tests {
         db.insert_named("T", tup!["BRA", "SA"]).unwrap();
         let q = parse_query(&s, r#"(x) :- T(x, k), k != "EU""#).unwrap();
         assert_eq!(answer_set(&q, &db), vec![tup!["BRA"]]);
-    }
-
-    #[test]
-    fn assignments_by_answer_groups() {
-        let (s, db) = world_cup();
-        let q = q1(&s);
-        let map = assignments_by_answer(&q, &db);
-        assert_eq!(map.len(), 2);
-        assert_eq!(map[&tup!["GER"]].len(), 2);
-        assert_eq!(map[&tup!["ESP"]].len(), 12);
     }
 
     #[test]

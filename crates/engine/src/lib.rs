@@ -31,5 +31,5 @@ pub use eval::{
     EvalOptions, EvalResult,
 };
 pub use view::{delta_satisfiable, MaterializedView, ViewDelta};
-pub use whynot::{frontier_split, why_not};
+pub use whynot::frontier_split;
 pub use witness::{witness_of, witnesses_for_answer, Witness};

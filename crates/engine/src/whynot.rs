@@ -112,28 +112,6 @@ pub fn frontier_split(q: &ConjunctiveQuery, db: &Database) -> Option<Vec<bool>> 
     Some(mask)
 }
 
-/// A why-not explanation: which atoms (by index) are jointly satisfiable
-/// and which single join step excludes the missing answer.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WhyNot {
-    /// Atom indexes of the satisfiable side.
-    pub satisfiable: Vec<usize>,
-    /// Atom indexes of the excluded side.
-    pub excluded: Vec<usize>,
-}
-
-/// Produce a why-not explanation for an unsatisfiable query (see
-/// [`frontier_split`]).
-pub fn why_not(q: &ConjunctiveQuery, db: &Database) -> Option<WhyNot> {
-    let mask = frontier_split(q, db)?;
-    let satisfiable = (0..mask.len()).filter(|&i| mask[i]).collect();
-    let excluded = (0..mask.len()).filter(|&i| !mask[i]).collect();
-    Some(WhyNot {
-        satisfiable,
-        excluded,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -187,7 +165,6 @@ mod tests {
         db.insert_named("Teams", tup!["ITA", "EU"]).unwrap();
         let q_t = embed_answer(&q, &[Value::text("Pirlo")]).unwrap();
         assert!(frontier_split(&q_t, &db).is_none());
-        assert!(why_not(&q_t, &db).is_none());
     }
 
     #[test]
@@ -210,15 +187,6 @@ mod tests {
         // The satisfiable side must contain Teams (atom 0), the excluded
         // side the Games atom (atom 1).
         assert_eq!(mask, vec![true, false]);
-    }
-
-    #[test]
-    fn why_not_reports_both_sides() {
-        let (_, db, q) = setup();
-        let q_t = embed_answer(&q, &[Value::text("Pirlo")]).unwrap();
-        let wn = why_not(&q_t, &db).unwrap();
-        assert_eq!(wn.satisfiable, vec![0, 1, 2]);
-        assert_eq!(wn.excluded, vec![3]);
     }
 
     #[test]

@@ -1,19 +1,15 @@
 //! # qoco-graph — graph algorithms for QOCO
 //!
-//! The Min-Cut query-split strategy (paper Section 5.2, citing Edmonds–Karp
-//! \[20\]) cuts the weighted *query graph* into two connected halves. This
-//! crate provides the two classical algorithms that power it, built from
-//! scratch:
-//!
-//! * [`maxflow`] — Edmonds–Karp maximum flow / minimum s-t cut;
-//! * [`mincut`] — Stoer–Wagner global minimum cut, which is what a query
-//!   split actually needs (no distinguished source/sink).
+//! The Min-Cut query-split strategy (paper Section 5.2) cuts the weighted
+//! *query graph* into two connected halves. A query split has no
+//! distinguished source or sink, so the crate provides one algorithm, built
+//! from scratch: [`mincut`], the Stoer–Wagner global minimum cut. The paper
+//! cites Edmonds–Karp \[20\] for this step; an s-t max-flow would need a
+//! source/sink pair the split does not have, so it is not implemented.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod maxflow;
 pub mod mincut;
 
-pub use maxflow::{max_flow, min_st_cut, FlowNetwork};
 pub use mincut::{global_min_cut, CutResult, WeightedGraph};

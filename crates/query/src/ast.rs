@@ -68,14 +68,6 @@ impl Term {
         }
     }
 
-    /// The constant inside, if any.
-    pub fn as_const(&self) -> Option<&Value> {
-        match self {
-            Term::Const(c) => Some(c),
-            Term::Var(_) => None,
-        }
-    }
-
     /// True if this term is a constant.
     pub fn is_const(&self) -> bool {
         matches!(self, Term::Const(_))

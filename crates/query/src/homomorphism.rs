@@ -14,8 +14,6 @@
 
 use std::collections::BTreeMap;
 
-use qoco_data::Value;
-
 use crate::ast::{ConjunctiveQuery, Inequality, Term, Var};
 
 /// A variable mapping `Var(from) → Term` (constants map to themselves).
@@ -174,17 +172,6 @@ pub fn minimize(q: &ConjunctiveQuery) -> ConjunctiveQuery {
     }
 }
 
-/// The canonical-database answer check used by tests: evaluate `q1` on the
-/// frozen body of `q2` (Chandra–Merlin's other direction). Exposed for
-/// diagnostics.
-pub fn canonical_constants(q: &ConjunctiveQuery) -> BTreeMap<Var, Value> {
-    q.vars()
-        .into_iter()
-        .enumerate()
-        .map(|(i, v)| (v.clone(), Value::text(format!("⟨{}:{i}⟩", v.name()))))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -313,14 +300,5 @@ mod tests {
         for v in p2.vars() {
             assert_eq!(h.get(&v), Some(&Term::var("x")));
         }
-    }
-
-    #[test]
-    fn canonical_constants_are_distinct() {
-        let s = schema();
-        let q = parse_query(&s, "(x) :- E(x, y), E(y, z)").unwrap();
-        let c = canonical_constants(&q);
-        let values: std::collections::BTreeSet<_> = c.values().collect();
-        assert_eq!(values.len(), c.len());
     }
 }

@@ -31,5 +31,5 @@ pub use ast::{Atom, ConjunctiveQuery, Inequality, QueryError, Term, Var};
 pub use graph::{QueryGraph, QueryGraphEdge};
 pub use homomorphism::{contains, equivalent, find_homomorphism, minimize, Homomorphism};
 pub use parser::{parse_query, ParseError};
-pub use subquery::{embed_answer, is_subquery, split_by_atom_partition, split_subset, SplitError};
+pub use subquery::{embed_answer, split_by_atom_partition, split_subset, SplitError};
 pub use ucq::UnionQuery;

@@ -13,7 +13,9 @@
 //! ```
 //!
 //! Identifiers are variables; constants must be quoted or numeric, so
-//! `Teams(x, "EU")` reads as the paper writes `Teams(x, EU)`.
+//! `Teams(x, "EU")` reads as the paper writes `Teams(x, EU)`. Inside a
+//! quoted constant, `\` starts one of the escapes that `{:?}` prints, so
+//! [`ConjunctiveQuery::display`] output parses back to the same query.
 
 use std::fmt;
 use std::sync::Arc;
@@ -95,6 +97,35 @@ enum Tok {
     Dot,
 }
 
+/// Decode the escape sequence at the start of `rest` (which begins with
+/// `\`) into its character and its length in chars. The set is exactly
+/// what `{:?}` emits for a string, so [`ConjunctiveQuery::display`] output
+/// parses back to the same constants: `\\`, `\"`, `\'`, `\t`, `\n`, `\r`,
+/// `\0` and `\u{hex}`. Anything else is not an escape.
+fn unescape(rest: &[char]) -> Option<(char, usize)> {
+    let c = match rest.get(1)? {
+        '\\' => '\\',
+        '"' => '"',
+        '\'' => '\'',
+        't' => '\t',
+        'n' => '\n',
+        'r' => '\r',
+        '0' => '\0',
+        'u' if rest.get(2) == Some(&'{') => {
+            // `\u{` plus at most six hex digits: the `}` is within 10 chars
+            let close = rest.iter().take(10).position(|&c| c == '}')?;
+            let hex = &rest[3..close];
+            if hex.is_empty() || !hex.iter().all(char::is_ascii_hexdigit) {
+                return None;
+            }
+            let code = u32::from_str_radix(&hex.iter().collect::<String>(), 16).ok()?;
+            return Some((char::from_u32(code)?, close + 1));
+        }
+        _ => return None,
+    };
+    Some((c, 2))
+}
+
 fn lex(input: &str) -> Result<Vec<(usize, Tok)>, ParseError> {
     let mut toks = Vec::new();
     let bytes: Vec<char> = input.chars().collect();
@@ -136,6 +167,12 @@ fn lex(input: &str) -> Result<Vec<(usize, Tok)>, ParseError> {
                         Some('"') => {
                             i += 1;
                             break;
+                        }
+                        Some('\\') => {
+                            let (c, len) = unescape(&bytes[i..])
+                                .ok_or(ParseError::Lex { at: i, found: '\\' })?;
+                            s.push(c);
+                            i += len;
                         }
                         Some(&c) => {
                             s.push(c);
@@ -547,6 +584,23 @@ mod tests {
         assert_eq!(q.atoms(), q2.atoms());
         assert_eq!(q.inequalities(), q2.inequalities());
         assert_eq!(q.head(), q2.head());
+    }
+
+    #[test]
+    fn string_escapes_decode_and_unknown_ones_are_rejected() {
+        let s = schema();
+        let q = parse_query(&s, r#"(x) :- Teams(x, "a\\b\"c\td\u{200b}e")"#).unwrap();
+        assert_eq!(q.atoms()[0].terms[1], Term::cons("a\\b\"c\td\u{200b}e"));
+        for bad in [r"\e", r"\u{}", r"\u{+41}", r"\u{110000}", r"\u41", "\\"] {
+            let text = format!(r#"(x) :- Teams(x, "{bad}")"#);
+            assert!(
+                matches!(
+                    parse_query(&s, &text),
+                    Err(ParseError::Lex { .. } | ParseError::Eof { .. })
+                ),
+                "{text} must not parse"
+            );
+        }
     }
 
     #[test]

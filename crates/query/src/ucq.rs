@@ -51,11 +51,6 @@ impl UnionQuery {
         &self.disjuncts
     }
 
-    /// Head width shared by all disjuncts.
-    pub fn head_width(&self) -> usize {
-        self.disjuncts[0].head().len()
-    }
-
     /// Drop disjuncts subsumed by another disjunct (using the sound
     /// homomorphism containment test) and minimize the survivors. The
     /// result is answer-equivalent and never larger; with fewer disjuncts
@@ -114,7 +109,6 @@ mod tests {
         let q2 = parse_query(&s, "(x, y) :- A(x, y)").unwrap();
         assert!(UnionQuery::new("U", vec![q1.clone(), q2]).is_err());
         let u = UnionQuery::new("U", vec![q1.clone(), q1]).unwrap();
-        assert_eq!(u.head_width(), 1);
         assert_eq!(u.disjuncts().len(), 2);
         assert_eq!(u.name(), "U");
     }

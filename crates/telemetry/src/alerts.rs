@@ -524,11 +524,6 @@ impl AlertEngine {
         }
     }
 
-    /// Number of rules.
-    pub fn rule_count(&self) -> usize {
-        self.states.len()
-    }
-
     /// Evaluation ticks seen so far.
     pub fn ticks(&self) -> u64 {
         self.ticks

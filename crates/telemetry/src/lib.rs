@@ -89,8 +89,8 @@ pub use profiler::{
     diff_profiles, sample_totals, FrameDelta, Profile, Profiler, DEFAULT_SAMPLE_INTERVAL,
 };
 pub use request::{
-    adopt_request, begin_request, clear_current_request, current_request_id, end_request,
-    inflight_requests, intern_metric_name, set_request_phase, set_request_session, InflightRequest,
+    adopt_request, begin_request, current_request_id, end_request, inflight_requests,
+    intern_metric_name, set_request_phase, set_request_session, InflightRequest,
 };
 pub use server::{HttpRequest, HttpResponse, MetricsServer, RouteHandler, ServerOptions};
 pub use span::{EventRecord, SpanGuard, SpanRecord};

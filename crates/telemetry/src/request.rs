@@ -160,7 +160,7 @@ pub fn adopt_request(id: Option<String>) {
 
 /// Unconditionally clear this thread's current-request marker, so a stale
 /// id cannot leak onto whatever runs on this thread next.
-pub fn clear_current_request() {
+fn clear_current_request() {
     CURRENT_REQUEST.with(|c| c.borrow_mut().take());
     CURRENT_TOKEN.with(|c| c.set(0));
 }

@@ -42,6 +42,17 @@ if grep -rnE 'rayon|RAYON_NUM_THREADS|span_child_of|par_chunk|crossbeam|parking_
   exit 1
 fi
 
+echo "== unreached modules stay deleted =="
+# key/foreign-key repair, the Proposition 3.4 enumeration, Edmonds–Karp
+# and two unused Section 7.2 metrics had no caller and were removed;
+# constraint repair is to be rebuilt on the cleaner's step function, not
+# restored. Word boundaries keep `unconstrained` (engine tests) legal
+if grep -rnwE 'constrained|ConstraintSet|naive_enumeration|FlowNetwork|max_flow|min_st_cut|noise_skewness|result_cleanliness|NoWitness' \
+  src crates examples tests; then
+  echo "deleted unreached-module names are back (listed above)" >&2
+  exit 1
+fi
+
 echo "== cargo test -q --workspace =="
 cargo test -q --workspace
 

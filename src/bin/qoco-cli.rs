@@ -815,9 +815,6 @@ fn inferred_edit(d: &DecisionLine) -> Option<String> {
             .outcome
             .strip_prefix("missing: ")
             .map(|t| format!("insertion phase scheduled for {t}")),
-        "constrained.key_conflict" if d.outcome == "false" => {
-            Some("conflicting fact deleted (key repair)".into())
-        }
         _ => None,
     }
 }

@@ -45,7 +45,7 @@
 //! | [`data`] | values, tuples, schemas, indexed relations, databases, edits, distance/cleanliness metrics |
 //! | [`query`] | conjunctive queries with inequalities: AST, parser, subqueries, `Q\|t` embedding, query graph, UCQs |
 //! | [`engine`] | evaluation (all valid assignments), witnesses, satisfiability, why-not analysis |
-//! | [`graph`] | Edmonds–Karp max-flow, Stoer–Wagner global min-cut |
+//! | [`graph`] | Stoer–Wagner global min-cut |
 //! | [`crowd`] | question types, perfect/imperfect oracles, majority voting, cost ledger, enumeration black-box |
 //! | [`core`] | Algorithms 1–3, hitting sets, split strategies, baselines |
 //! | [`datasets`] | the Soccer and DBGroup generators, noise injection, the evaluation queries |

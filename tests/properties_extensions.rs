@@ -1,8 +1,7 @@
 //! Property tests for the extension modules: parser round-trips on
 //! generated queries, seeded evaluation against brute force, group-testing
-//! correctness, view-monitor equivalence with full recomputation,
-//! constraint-repair soundness, TSV persistence round-trips and JSON string
-//! round-trips.
+//! correctness, view-monitor equivalence with full recomputation, TSV
+//! persistence round-trips and JSON string round-trips.
 
 use std::collections::BTreeSet;
 
@@ -27,6 +26,13 @@ fn small_schema() -> std::sync::Arc<Schema> {
 
 const DOMAIN: [&str; 4] = ["v0", "v1", "v2", "v3"];
 const VARS: [&str; 4] = ["x", "y", "z", "w"];
+
+/// Characters for text constants that `display()` must escape, next to
+/// plain ones: backslash, both quotes, control characters, a zero-width
+/// space and a combining accent.
+const ESCAPE_POOL: [char; 12] = [
+    'a', 'é', '\\', '"', '\'', '\t', '\n', '\r', '\0', '\u{200b}', '\u{301}', 'u',
+];
 
 /// Strategy: a random well-formed conjunctive query over the small schema.
 fn query_strategy() -> impl Strategy<Value = ConjunctiveQuery> {
@@ -252,6 +258,37 @@ proptest! {
     fn parser_round_trips_generated_queries(q in query_strategy()) {
         let rendered = q.display();
         let reparsed = parse_query(q.schema(), &rendered)
+            .unwrap_or_else(|e| panic!("reparse of `{rendered}` failed: {e}"));
+        prop_assert_eq!(q.atoms(), reparsed.atoms());
+        prop_assert_eq!(q.inequalities(), reparsed.inequalities());
+        prop_assert_eq!(q.head(), reparsed.head());
+    }
+
+    /// Text constants survive `display()` and the parser whatever they
+    /// hold: backslashes, quotes, control characters and code points that
+    /// `{:?}` prints as `\u{..}` escapes.
+    #[test]
+    fn parser_round_trips_constants_that_need_escapes(
+        codes in proptest::collection::vec(proptest::collection::vec(0..ESCAPE_POOL.len(), 0..6), 3),
+    ) {
+        let s = small_schema();
+        let text: Vec<String> = codes
+            .iter()
+            .map(|c| c.iter().map(|&i| ESCAPE_POOL[i]).collect())
+            .collect();
+        let q = ConjunctiveQuery::new(
+            s.clone(),
+            "G",
+            vec![Term::var("x")],
+            vec![
+                Atom::new(s.rel_id("E").unwrap(), vec![Term::var("x"), Term::cons(text[0].as_str())]),
+                Atom::new(s.rel_id("L").unwrap(), vec![Term::cons(text[1].as_str())]),
+            ],
+            vec![Inequality::new(Var::new("x"), Term::cons(text[2].as_str()))],
+        )
+        .unwrap();
+        let rendered = q.display();
+        let reparsed = parse_query(&s, &rendered)
             .unwrap_or_else(|e| panic!("reparse of `{rendered}` failed: {e}"));
         prop_assert_eq!(q.atoms(), reparsed.atoms());
         prop_assert_eq!(q.inequalities(), reparsed.inequalities());
