@@ -38,9 +38,16 @@ fn bench_selection(c: &mut Criterion) {
             let mut d = planted.db.clone();
             let mut crowd = SingleExpert::new(PerfectOracle::new(ground.clone()));
             black_box(
-                crowd_remove_wrong_answer(&q, &mut d, &target, &mut crowd, DeletionStrategy::Qoco)
-                    .unwrap()
-                    .questions,
+                crowd_remove_wrong_answer(
+                    &q,
+                    &mut d,
+                    &target,
+                    &mut crowd,
+                    DeletionStrategy::Qoco,
+                    &mut [],
+                )
+                .unwrap()
+                .questions,
             )
         })
     });

@@ -376,7 +376,9 @@ pub fn fig3f(ex: &Experiments) -> Table {
             fm.to_string(),
         ]);
     }
-    t.note("all three categories grow with the error count, as in the paper");
+    t.note(
+        "verify tuples and fill missing grow with the error count; verify answers stays flat because symmetric planting keeps |Q(D)| constant",
+    );
     t
 }
 
@@ -453,7 +455,9 @@ pub fn fig4(ex: &Experiments) -> Table {
             }
         }
     }
-    t.note("fill-missing counts are identical across deletion strategies of the same query (same insertion algorithm), as the paper observes");
+    t.note(
+        "fill-missing counts differ across deletion strategies of the same query, where the paper reports them identical",
+    );
     t
 }
 
@@ -547,8 +551,15 @@ pub fn ablation_hitting_set(ex: &Experiments) -> Table {
         let mut questions = 0usize;
         for w in &planted.wrong {
             let mut crowd = SingleExpert::new(PerfectOracle::new(ex.ground.clone()));
-            let out = crowd_remove_wrong_answer(q, &mut d, w, &mut crowd, DeletionStrategy::Qoco)
-                .expect("removal succeeds");
+            let out = crowd_remove_wrong_answer(
+                q,
+                &mut d,
+                w,
+                &mut crowd,
+                DeletionStrategy::Qoco,
+                &mut [],
+            )
+            .expect("removal succeeds");
             deletions += out.edits.deletions();
             questions += out.questions;
         }
@@ -628,9 +639,16 @@ pub fn ablation_heuristics(ex: &Experiments) -> Table {
         let mut deletions = 0usize;
         for w in &planted.wrong {
             let mut crowd = SingleExpert::new(PerfectOracle::new(ex.ground.clone()));
-            let out =
-                crowd_remove_wrong_answer_with(q, &mut d, w, &mut crowd, &mut *selector, true)
-                    .expect("removal succeeds");
+            let out = crowd_remove_wrong_answer_with(
+                q,
+                &mut d,
+                w,
+                &mut crowd,
+                &mut *selector,
+                true,
+                &mut [],
+            )
+            .expect("removal succeeds");
             questions += out.questions;
             deletions += out.edits.deletions();
         }
@@ -660,9 +678,15 @@ pub fn ablation_composite(ex: &Experiments) -> Table {
             let mut d = planted.db.clone();
             let mut crowd = SingleExpert::new(PerfectOracle::new(ex.ground.clone()));
             for w in &planted.wrong {
-                let out =
-                    crowd_remove_wrong_answer(q, &mut d, w, &mut crowd, DeletionStrategy::Qoco)
-                        .expect("removal succeeds");
+                let out = crowd_remove_wrong_answer(
+                    q,
+                    &mut d,
+                    w,
+                    &mut crowd,
+                    DeletionStrategy::Qoco,
+                    &mut [],
+                )
+                .expect("removal succeeds");
                 singles += out.questions;
                 universe += out.upper_bound;
             }

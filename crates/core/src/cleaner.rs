@@ -8,17 +8,32 @@
 //! the outer loop runs until the view is verified complete and correct. By
 //! Proposition 3.3 every edit moves `D` towards `D_G`, so with a truthful
 //! oracle the loop converges.
+//!
+//! The same loop cleans a union `U = Q₁ ∪ … ∪ Qₖ` (the paper's Section 2
+//! notes every result extends to unions of CQs); a CQ is the union of one
+//! disjunct:
+//!
+//! * a tuple is a **true** answer of `U` iff it is a true answer of *some*
+//!   disjunct, so verification asks `TRUE(Qᵢ, t)?` per disjunct until one
+//!   says yes;
+//! * a **wrong** answer is removed from *every* disjunct that still produces
+//!   it, by one Algorithm 1 run per disjunct;
+//! * `COMPL(Qᵢ(D))?` is asked per disjunct until one names a missing
+//!   answer, which needs only *one* disjunct to produce it: with more than
+//!   one disjunct the crowd is asked which one can host a witness (a
+//!   satisfiability question on the embedded `Qᵢ|t`), and Algorithm 2 runs
+//!   there.
 
 use std::collections::BTreeSet;
 
-use qoco_crowd::{CompletenessEstimator, CrowdAccess, GroundTruthEstimator};
+use qoco_crowd::{CompletenessEstimator, CrowdAccess, CrowdError, GroundTruthEstimator};
 use qoco_data::{Database, Tuple};
-use qoco_engine::MaterializedView;
-use qoco_query::ConjunctiveQuery;
+use qoco_engine::{Assignment, MaterializedView};
+use qoco_query::{embed_answer, ConjunctiveQuery};
 
-use crate::deletion::{crowd_remove_wrong_answer_tracked, DeletionStrategy};
+use crate::deletion::{crowd_remove_wrong_answer, DeletionStrategy};
 use crate::error::CleanError;
-use crate::insertion::{crowd_add_missing_answer_tracked, InsertionOptions};
+use crate::insertion::{crowd_add_missing_answer, InsertionOptions};
 pub use crate::report::CleaningReport;
 use crate::report::{UnresolvedItem, UnresolvedPhase};
 use crate::split::SplitStrategyKind;
@@ -49,7 +64,8 @@ impl Default for CleaningConfig {
 
 /// Run Algorithm 3: clean `db` until `Q(D′) = Q(D_G)` as certified by the
 /// crowd, using the ground-truth-free protocol (the crowd is the only
-/// source of truth; `db` is never compared to `D_G` directly).
+/// source of truth; `db` is never compared to `D_G` directly). `view` is a
+/// [`ConjunctiveQuery`] or a [`UnionQuery`](qoco_query::UnionQuery).
 ///
 /// The `estimator` is the enumeration black-box of Section 6.1 deciding
 /// when the result is complete; pass a
@@ -57,15 +73,27 @@ impl Default for CleaningConfig {
 /// [`Chao92Estimator`](qoco_crowd::Chao92Estimator) for the statistical
 /// variant. The crowd's `None` reply to `COMPL(Q(D))` also ends the
 /// insertion phase.
-pub fn clean_view_with_estimator<C: CrowdAccess + ?Sized>(
-    q: &ConjunctiveQuery,
+pub fn clean_view_with_estimator<V, C>(
+    view: &V,
     db: &mut Database,
     crowd: &mut C,
     config: CleaningConfig,
     estimator: &mut dyn CompletenessEstimator,
-) -> Result<CleaningReport, CleanError> {
+) -> Result<CleaningReport, CleanError>
+where
+    V: AsRef<[ConjunctiveQuery]> + ?Sized,
+    C: CrowdAccess + ?Sized,
+{
+    let disjuncts = view.as_ref();
     let session_span = qoco_telemetry::span("clean.session")
-        .field("query", q.name().to_string())
+        .field(
+            "query",
+            disjuncts
+                .iter()
+                .map(|q| q.name())
+                .collect::<Vec<_>>()
+                .join(" ∪ "),
+        )
         .field("deletion", format!("{:?}", config.deletion))
         .field("split", format!("{:?}", config.split));
     let mut report = CleaningReport::new();
@@ -75,16 +103,21 @@ pub fn clean_view_with_estimator<C: CrowdAccess + ?Sized>(
     let mut skipped: BTreeSet<Tuple> = BTreeSet::new();
     let mut split = config.split.build();
     let mut first = true;
-    // The answer set is maintained incrementally: every edit derived by the
-    // tracked Algorithm 1/2 runs notifies the view, so the sweeps below
-    // read cached answers instead of re-evaluating Q per membership check.
-    let mut view = MaterializedView::new(q.clone(), db);
+    // One materialized view per disjunct, maintained incrementally: every
+    // edit derived by Algorithm 1/2 notifies all of them, so the sweeps
+    // below read cached answers instead of re-evaluating per membership
+    // check.
+    let mut views: Vec<MaterializedView> = disjuncts
+        .iter()
+        .map(|q| MaterializedView::new(q.clone(), db))
+        .collect();
 
     loop {
         // resynchronize if the caller's database moved out of band
-        view.sync(db);
-        let unverified: Vec<Tuple> = view
-            .answers()
+        for v in &mut views {
+            v.sync(db);
+        }
+        let unverified: Vec<Tuple> = cached_answers(&views)
             .into_iter()
             .filter(|t| !verified.contains(t) && !skipped.contains(t))
             .collect();
@@ -107,42 +140,59 @@ pub fn clean_view_with_estimator<C: CrowdAccess + ?Sized>(
         let del_before = crowd.stats();
         for t in unverified {
             // the answer may already have disappeared through earlier edits
-            if !view.contains(&t) {
+            if !views.iter().any(|v| v.contains(&t)) {
                 continue;
             }
-            let decision = qoco_telemetry::begin_decision();
-            let verdict = crowd.verify_answer(q, &t);
-            qoco_telemetry::finish_decision(decision, "clean.verify_answer", || {
-                qoco_telemetry::DecisionDetail {
-                    question: format!("TRUE({}, {t})?", q.name()),
-                    outcome: match &verdict {
-                        Ok(v) => v.to_string(),
-                        Err(e) => format!("error: {e}"),
-                    },
-                    evidence: vec![
-                        ("phase", "deletion-sweep".to_string()),
-                        ("iteration", report.iterations.to_string()),
-                    ],
+            // true iff some disjunct certifies it: stop at the first YES
+            let mut verdict = Ok(false);
+            for q in disjuncts {
+                let decision = qoco_telemetry::begin_decision();
+                verdict = crowd.verify_answer(q, &t);
+                qoco_telemetry::finish_decision(decision, "clean.verify_answer", || {
+                    qoco_telemetry::DecisionDetail {
+                        question: format!("TRUE({}, {t})?", q.name()),
+                        outcome: match &verdict {
+                            Ok(v) => v.to_string(),
+                            Err(e) => format!("error: {e}"),
+                        },
+                        evidence: vec![
+                            ("phase", "deletion-sweep".to_string()),
+                            ("iteration", report.iterations.to_string()),
+                        ],
+                    }
+                });
+                if !matches!(verdict, Ok(false)) {
+                    break;
                 }
-            });
+            }
             match verdict {
                 Ok(true) => {
                     verified.insert(t);
                 }
                 Ok(false) => {
                     qoco_telemetry::event("clean.wrong_answer", || format!("{t}"));
-                    let out = crowd_remove_wrong_answer_tracked(
-                        q,
-                        db,
-                        &t,
-                        crowd,
-                        config.deletion,
-                        std::slice::from_mut(&mut view),
-                    )?;
-                    report.deletion_upper_bound += out.upper_bound;
-                    report.anomalies += out.anomalies;
-                    report.edits.extend(out.edits);
-                    if let Some(e) = out.failure {
+                    let mut failure = None;
+                    for (i, q) in disjuncts.iter().enumerate() {
+                        if !views[i].contains(&t) {
+                            continue;
+                        }
+                        let out = crowd_remove_wrong_answer(
+                            q,
+                            db,
+                            &t,
+                            crowd,
+                            config.deletion,
+                            &mut views,
+                        )?;
+                        report.deletion_upper_bound += out.upper_bound;
+                        report.anomalies += out.anomalies;
+                        report.edits.extend(out.edits);
+                        if out.failure.is_some() {
+                            failure = out.failure;
+                            break;
+                        }
+                    }
+                    if let Some(e) = failure {
                         qoco_telemetry::event("clean.unresolved", || format!("{t}: {e}"));
                         report.unresolved.push(UnresolvedItem {
                             phase: UnresolvedPhase::Delete,
@@ -151,8 +201,8 @@ pub fn clean_view_with_estimator<C: CrowdAccess + ?Sized>(
                         });
                         skipped.insert(t);
                     } else {
-                        // counted only when the removal actually completed —
-                        // a crowd failure mid-removal leaves the answer in
+                        // counted only when every removal actually completed
+                        // — a crowd failure mid-removal leaves the answer in
                         // the view and is reported as unresolved instead
                         report.wrong_answers += 1;
                     }
@@ -177,27 +227,34 @@ pub fn clean_view_with_estimator<C: CrowdAccess + ?Sized>(
         let ins_span = qoco_telemetry::span("clean.insertion_phase");
         let ins_before = crowd.stats();
         loop {
-            let known = view.answers();
+            let known = cached_answers(&views);
             if estimator.likely_complete(known.len()) {
                 break;
             }
-            let decision = qoco_telemetry::begin_decision();
-            let reply = crowd.next_missing_answer(q, &known);
-            qoco_telemetry::finish_decision(decision, "clean.complete_result", || {
-                qoco_telemetry::DecisionDetail {
-                    question: format!("COMPL({}(D))?", q.name()),
-                    outcome: match &reply {
-                        Ok(Some(t)) => format!("missing: {t}"),
-                        Ok(None) => "complete".to_string(),
-                        Err(e) => format!("error: {e}"),
-                    },
-                    evidence: vec![
-                        ("phase", "insertion-sweep".to_string()),
-                        ("iteration", report.iterations.to_string()),
-                        ("known_answers", known.len().to_string()),
-                    ],
+            // ask each disjunct until one names a missing answer
+            let mut reply = Ok(None);
+            for q in disjuncts {
+                let decision = qoco_telemetry::begin_decision();
+                reply = crowd.next_missing_answer(q, &known);
+                qoco_telemetry::finish_decision(decision, "clean.complete_result", || {
+                    qoco_telemetry::DecisionDetail {
+                        question: format!("COMPL({}(D))?", q.name()),
+                        outcome: match &reply {
+                            Ok(Some(t)) => format!("missing: {t}"),
+                            Ok(None) => "complete".to_string(),
+                            Err(e) => format!("error: {e}"),
+                        },
+                        evidence: vec![
+                            ("phase", "insertion-sweep".to_string()),
+                            ("iteration", report.iterations.to_string()),
+                            ("known_answers", known.len().to_string()),
+                        ],
+                    }
+                });
+                if !matches!(reply, Ok(None)) {
+                    break;
                 }
-            });
+            }
             let t = match reply {
                 Ok(Some(t)) => t,
                 Ok(None) => break,
@@ -213,18 +270,40 @@ pub fn clean_view_with_estimator<C: CrowdAccess + ?Sized>(
             };
             estimator.observe(&t);
             qoco_telemetry::event("clean.missing_answer", || format!("{t}"));
-            let out = crowd_add_missing_answer_tracked(
-                q,
-                db,
-                &t,
-                crowd,
-                &mut *split,
-                config.insertion,
-                std::slice::from_mut(&mut view),
-            )?;
-            report.insertion_upper_bound += out.upper_bound;
-            report.edits.extend(out.edits);
-            if let Some(e) = out.failure {
+            let mut achieved = false;
+            let mut failure = None;
+            for (i, q) in disjuncts.iter().enumerate() {
+                if disjuncts.len() > 1 {
+                    match can_host(disjuncts, i, &t, crowd) {
+                        Ok(true) => {}
+                        Ok(false) => continue,
+                        Err(e) => {
+                            failure = Some(e);
+                            break;
+                        }
+                    }
+                }
+                let out = crowd_add_missing_answer(
+                    q,
+                    db,
+                    &t,
+                    crowd,
+                    &mut *split,
+                    config.insertion,
+                    &mut views,
+                )?;
+                report.insertion_upper_bound += out.upper_bound;
+                report.edits.extend(out.edits);
+                if out.failure.is_some() {
+                    failure = out.failure;
+                    break;
+                }
+                if out.achieved {
+                    achieved = true;
+                    break;
+                }
+            }
+            if let Some(e) = failure {
                 qoco_telemetry::event("clean.unresolved", || format!("{t}: {e}"));
                 report.unresolved.push(UnresolvedItem {
                     phase: UnresolvedPhase::Insert,
@@ -235,7 +314,7 @@ pub fn clean_view_with_estimator<C: CrowdAccess + ?Sized>(
                 break;
             }
             report.missing_answers += 1;
-            if out.achieved {
+            if achieved {
                 verified.insert(t);
             } else {
                 report.anomalies += 1;
@@ -260,16 +339,67 @@ pub fn clean_view_with_estimator<C: CrowdAccess + ?Sized>(
 /// [`clean_view_with_estimator`] with a permissive estimator: the crowd's
 /// `COMPL(Q(D))` replies alone decide completeness — the setting of the
 /// paper's simulated-oracle experiments.
-pub fn clean_view<C: CrowdAccess + ?Sized>(
-    q: &ConjunctiveQuery,
+pub fn clean_view<V, C>(
+    view: &V,
     db: &mut Database,
     crowd: &mut C,
     config: CleaningConfig,
-) -> Result<CleaningReport, CleanError> {
+) -> Result<CleaningReport, CleanError>
+where
+    V: AsRef<[ConjunctiveQuery]> + ?Sized,
+    C: CrowdAccess + ?Sized,
+{
     // usize::MAX distinct answers will never be reached: defer fully to the
     // crowd's completeness judgement.
     let mut estimator = GroundTruthEstimator::new(usize::MAX);
-    clean_view_with_estimator(q, db, crowd, config, &mut estimator)
+    clean_view_with_estimator(view, db, crowd, config, &mut estimator)
+}
+
+/// The view's cached answers: a single disjunct's set as it is, several
+/// disjuncts' sets merged, sorted and deduplicated.
+fn cached_answers(views: &[MaterializedView]) -> Vec<Tuple> {
+    if let [v] = views {
+        return v.answers();
+    }
+    let mut out: Vec<Tuple> = views.iter().flat_map(|v| v.answers()).collect();
+    out.sort();
+    out.dedup();
+    out
+}
+
+/// `SAT(∅, Qᵢ|t)?`: can disjunct `i` host a witness of the missing answer
+/// `t`? A disjunct `t` cannot be embedded into is skipped unasked.
+fn can_host<C: CrowdAccess + ?Sized>(
+    disjuncts: &[ConjunctiveQuery],
+    i: usize,
+    t: &Tuple,
+    crowd: &mut C,
+) -> Result<bool, CrowdError> {
+    let Ok(q_t) = embed_answer(&disjuncts[i], t.values()) else {
+        return Ok(false);
+    };
+    let decision = qoco_telemetry::begin_decision();
+    let hostable = crowd.verify_satisfiable(&q_t, &Assignment::new());
+    qoco_telemetry::finish_decision(decision, "union.pick_host_disjunct", || {
+        qoco_telemetry::DecisionDetail {
+            question: format!("SAT(∅, {})?", q_t.name()),
+            outcome: match &hostable {
+                Ok(v) => v.to_string(),
+                Err(e) => format!("error: {e}"),
+            },
+            evidence: vec![
+                ("disjunct", format!("{}/{}", i + 1, disjuncts.len())),
+                ("missing_answer", t.to_string()),
+                (
+                    "rationale",
+                    "a missing union answer needs one hosting disjunct; \
+                     insertion runs on the first satisfiable embedding"
+                        .to_string(),
+                ),
+            ],
+        }
+    });
+    hostable
 }
 
 #[cfg(test)]
@@ -277,8 +407,8 @@ mod tests {
     use super::*;
     use qoco_crowd::{PerfectOracle, SingleExpert};
     use qoco_data::{diff, tup, Schema};
-    use qoco_engine::answer_set;
-    use qoco_query::parse_query;
+    use qoco_engine::{answer_set, union_answer_set};
+    use qoco_query::{parse_query, UnionQuery};
     use std::sync::Arc;
 
     /// Example 6.1's full scenario: the dirty D has
@@ -449,5 +579,65 @@ mod tests {
                 "strategy {deletion:?}/{split:?} failed to converge"
             );
         }
+    }
+
+    /// Union view: teams that won a final ∪ teams that lost a final
+    /// ("teams that played a final").
+    fn finalists() -> (Database, Database, UnionQuery) {
+        let schema = Schema::builder()
+            .relation("Games", &["date", "winner", "runner_up", "stage", "result"])
+            .build()
+            .unwrap();
+        let mut d = Database::empty(schema.clone());
+        d.insert_named("Games", tup!["13.07.14", "GER", "ARG", "Final", "1:0"])
+            .unwrap();
+        // false: BRA never beat FRA in a final
+        d.insert_named("Games", tup!["99.99.99", "BRA", "FRA", "Final", "9:0"])
+            .unwrap();
+
+        let mut g = Database::empty(schema.clone());
+        g.insert_named("Games", tup!["13.07.14", "GER", "ARG", "Final", "1:0"])
+            .unwrap();
+        g.insert_named("Games", tup!["11.07.10", "ESP", "NED", "Final", "1:0"])
+            .unwrap();
+
+        let q_win = parse_query(&schema, r#"W(x) :- Games(d, x, y, "Final", u)"#).unwrap();
+        let q_lose = parse_query(&schema, r#"L(x) :- Games(d, y, x, "Final", u)"#).unwrap();
+        let uq = UnionQuery::new("Finalists", vec![q_win, q_lose]).unwrap();
+        (d, g, uq)
+    }
+
+    #[test]
+    fn union_cleaning_converges() {
+        let (mut d, g, uq) = finalists();
+        let truth = union_answer_set(&uq, &g);
+        let mut crowd = SingleExpert::new(PerfectOracle::new(g));
+        let report = clean_view(&uq, &mut d, &mut crowd, CleaningConfig::default()).unwrap();
+        assert_eq!(union_answer_set(&uq, &d), truth);
+        // BRA and FRA were wrong (and fixed by the same fact deletion);
+        // ESP and NED were missing — inserting the 2010 final for ESP
+        // fixes NED as a side effect, so at least one is reported
+        assert!(report.wrong_answers >= 1);
+        assert!(report.missing_answers >= 1);
+        assert_eq!(report.anomalies, 0);
+    }
+
+    #[test]
+    fn answer_true_via_second_disjunct_is_kept() {
+        let (mut d, g, uq) = finalists();
+        // ARG is a true answer via the *loser* disjunct only; cleaning must
+        // not remove it even though the winner disjunct rejects it
+        let mut crowd = SingleExpert::new(PerfectOracle::new(g));
+        clean_view(&uq, &mut d, &mut crowd, CleaningConfig::default()).unwrap();
+        assert!(union_answer_set(&uq, &d).contains(&tup!["ARG"]));
+    }
+
+    #[test]
+    fn clean_union_on_clean_db_is_free() {
+        let (_, g, uq) = finalists();
+        let mut d = g.clone();
+        let mut crowd = SingleExpert::new(PerfectOracle::new(g));
+        let report = clean_view(&uq, &mut d, &mut crowd, CleaningConfig::default()).unwrap();
+        assert!(report.edits.is_empty());
     }
 }

@@ -235,6 +235,7 @@ mod tests {
             &target,
             &mut crowd2,
             DeletionStrategy::QocoMinus,
+            &mut [],
         )
         .unwrap();
         assert!(answer_set(&q, &d1).is_empty());

@@ -73,26 +73,15 @@ pub struct DeletionOutcome {
 
 /// Run Algorithm 1 (or a baseline) to remove `t` from `Q(D)`.
 ///
-/// Deletion edits are applied to `db` as they are derived. With a perfect
+/// Each deletion edit is applied to `db` as soon as it is derived (the
+/// witness sets are enumerated once up front, so early application is
+/// safe) and every materialized view in `views` is notified, letting
+/// callers reuse cached answer sets between removals instead of
+/// re-evaluating the query; pass `&mut []` to track none. With a perfect
 /// oracle the post-condition `t ∉ Q(D′)` always holds; with imperfect
 /// crowds a witness can survive mislabeling (counted in
 /// [`DeletionOutcome::anomalies`]).
 pub fn crowd_remove_wrong_answer<C: CrowdAccess + ?Sized>(
-    q: &ConjunctiveQuery,
-    db: &mut Database,
-    t: &Tuple,
-    crowd: &mut C,
-    strategy: DeletionStrategy,
-) -> Result<DeletionOutcome, CleanError> {
-    crowd_remove_wrong_answer_tracked(q, db, t, crowd, strategy, &mut [])
-}
-
-/// [`crowd_remove_wrong_answer`] that also keeps materialized `views`
-/// current: each deletion edit is applied to `db` as soon as it is derived
-/// (the witness sets are enumerated once up front, so early application is
-/// safe) and every view is notified, letting callers reuse cached answer
-/// sets between removals instead of re-evaluating the query.
-pub fn crowd_remove_wrong_answer_tracked<C: CrowdAccess + ?Sized>(
     q: &ConjunctiveQuery,
     db: &mut Database,
     t: &Tuple,
@@ -105,7 +94,7 @@ pub fn crowd_remove_wrong_answer_tracked<C: CrowdAccess + ?Sized>(
         DeletionStrategy::Random(seed) => Box::new(RandomSelector::new(seed)),
     };
     let use_singleton_shortcut = matches!(strategy, DeletionStrategy::Qoco);
-    crowd_remove_wrong_answer_with_tracked(
+    crowd_remove_wrong_answer_with(
         q,
         db,
         t,
@@ -120,27 +109,6 @@ pub fn crowd_remove_wrong_answer_tracked<C: CrowdAccess + ?Sized>(
 /// the hook the heuristics ablation uses (the paper notes the greedy
 /// most-frequent choice "could be replaced by others", Section 4).
 pub fn crowd_remove_wrong_answer_with<C: CrowdAccess + ?Sized>(
-    q: &ConjunctiveQuery,
-    db: &mut Database,
-    t: &Tuple,
-    crowd: &mut C,
-    selector: &mut dyn TupleSelector,
-    use_singleton_shortcut: bool,
-) -> Result<DeletionOutcome, CleanError> {
-    crowd_remove_wrong_answer_with_tracked(
-        q,
-        db,
-        t,
-        crowd,
-        selector,
-        use_singleton_shortcut,
-        &mut [],
-    )
-}
-
-/// [`crowd_remove_wrong_answer_with`], additionally maintaining `views`
-/// per derived edit (see [`crowd_remove_wrong_answer_tracked`]).
-fn crowd_remove_wrong_answer_with_tracked<C: CrowdAccess + ?Sized>(
     q: &ConjunctiveQuery,
     db: &mut Database,
     t: &Tuple,
@@ -410,9 +378,15 @@ mod tests {
         let (_, mut d, g, q) = setup();
         assert_eq!(answer_set(&q, &d), vec![tup!["ESP"]]);
         let mut crowd = SingleExpert::new(PerfectOracle::new(g));
-        let out =
-            crowd_remove_wrong_answer(&q, &mut d, &tup!["ESP"], &mut crowd, DeletionStrategy::Qoco)
-                .unwrap();
+        let out = crowd_remove_wrong_answer(
+            &q,
+            &mut d,
+            &tup!["ESP"],
+            &mut crowd,
+            DeletionStrategy::Qoco,
+            &mut [],
+        )
+        .unwrap();
         assert!(answer_set(&q, &d).is_empty(), "ESP must be gone");
         assert_eq!(out.anomalies, 0);
         // exactly the three false finals are deleted (never Teams(ESP,EU)
@@ -428,9 +402,15 @@ mod tests {
     fn qoco_asks_fewer_questions_than_upper_bound() {
         let (_, mut d, g, q) = setup();
         let mut crowd = SingleExpert::new(PerfectOracle::new(g));
-        let out =
-            crowd_remove_wrong_answer(&q, &mut d, &tup!["ESP"], &mut crowd, DeletionStrategy::Qoco)
-                .unwrap();
+        let out = crowd_remove_wrong_answer(
+            &q,
+            &mut d,
+            &tup!["ESP"],
+            &mut crowd,
+            DeletionStrategy::Qoco,
+            &mut [],
+        )
+        .unwrap();
         // universe = 4 Games facts + Teams fact = 5
         assert_eq!(out.upper_bound, 5);
         assert!(
@@ -452,6 +432,7 @@ mod tests {
             &tup!["ESP"],
             &mut crowd1,
             DeletionStrategy::Qoco,
+            &mut [],
         )
         .unwrap();
         let mut d2 = d.clone();
@@ -462,6 +443,7 @@ mod tests {
             &tup!["ESP"],
             &mut crowd2,
             DeletionStrategy::QocoMinus,
+            &mut [],
         )
         .unwrap();
         assert!(qoco.questions <= minus.questions);
@@ -483,6 +465,7 @@ mod tests {
                 &tup!["ESP"],
                 &mut crowd,
                 DeletionStrategy::Random(seed),
+                &mut [],
             )
             .unwrap();
             assert!(answer_set(&q, &di).is_empty());
@@ -496,6 +479,7 @@ mod tests {
             &tup!["ESP"],
             &mut crowd,
             DeletionStrategy::Qoco,
+            &mut [],
         )
         .unwrap();
         assert!(
@@ -519,9 +503,15 @@ mod tests {
         let g = Database::empty(schema.clone());
         let q = parse_query(&schema, r#"(x) :- T(x, "EU")"#).unwrap();
         let mut crowd = SingleExpert::new(PerfectOracle::new(g));
-        let out =
-            crowd_remove_wrong_answer(&q, &mut d, &tup!["BRA"], &mut crowd, DeletionStrategy::Qoco)
-                .unwrap();
+        let out = crowd_remove_wrong_answer(
+            &q,
+            &mut d,
+            &tup!["BRA"],
+            &mut crowd,
+            DeletionStrategy::Qoco,
+            &mut [],
+        )
+        .unwrap();
         assert_eq!(out.questions, 0);
         assert_eq!(out.edits.deletions(), 1);
         assert!(answer_set(&q, &d).is_empty());
@@ -531,9 +521,15 @@ mod tests {
     fn non_answer_is_a_no_op() {
         let (_, mut d, g, q) = setup();
         let mut crowd = SingleExpert::new(PerfectOracle::new(g));
-        let out =
-            crowd_remove_wrong_answer(&q, &mut d, &tup!["ITA"], &mut crowd, DeletionStrategy::Qoco)
-                .unwrap();
+        let out = crowd_remove_wrong_answer(
+            &q,
+            &mut d,
+            &tup!["ITA"],
+            &mut crowd,
+            DeletionStrategy::Qoco,
+            &mut [],
+        )
+        .unwrap();
         assert_eq!(out.questions, 0);
         assert!(out.edits.is_empty());
     }

@@ -64,24 +64,14 @@ pub struct InsertionOutcome {
 
 /// Run Algorithm 2 to add the missing answer `t` to `Q(D)` using the given
 /// split strategy.
+///
+/// Every insertion edit notifies the materialized `views` incrementally
+/// (pass `&mut []` to track none). The post-insertion "is `t` now an
+/// answer?" recheck uses seeded delta satisfiability probes over the facts
+/// just inserted rather than a full `Q|t` evaluation — sound because the
+/// answer was missing beforehand, so any new witness must use at least one
+/// newly inserted fact.
 pub fn crowd_add_missing_answer<C: CrowdAccess + ?Sized>(
-    q: &ConjunctiveQuery,
-    db: &mut Database,
-    t: &Tuple,
-    crowd: &mut C,
-    split: &mut dyn SplitStrategy,
-    opts: InsertionOptions,
-) -> Result<InsertionOutcome, CleanError> {
-    crowd_add_missing_answer_tracked(q, db, t, crowd, split, opts, &mut [])
-}
-
-/// [`crowd_add_missing_answer`] that also keeps materialized `views`
-/// current: every insertion edit notifies the views incrementally. The
-/// post-insertion "is `t` now an answer?" recheck uses seeded delta
-/// satisfiability probes over the facts just inserted rather than a full
-/// `Q|t` evaluation — sound because the answer was missing beforehand, so
-/// any new witness must use at least one newly inserted fact.
-pub fn crowd_add_missing_answer_tracked<C: CrowdAccess + ?Sized>(
     q: &ConjunctiveQuery,
     db: &mut Database,
     t: &Tuple,
@@ -346,6 +336,7 @@ mod tests {
             &mut crowd,
             &mut ProvenanceSplit,
             InsertionOptions::default(),
+            &mut [],
         )
         .unwrap();
         assert!(out.achieved);
@@ -369,6 +360,7 @@ mod tests {
                 &mut crowd,
                 &mut *split,
                 InsertionOptions::default(),
+                &mut [],
             )
             .unwrap()
         };
@@ -407,6 +399,7 @@ mod tests {
                 &mut crowd,
                 &mut *s,
                 InsertionOptions::default(),
+                &mut [],
             )
             .unwrap();
             assert!(out.achieved, "strategy {} failed", s.name());
@@ -436,6 +429,7 @@ mod tests {
             &mut crowd,
             &mut ProvenanceSplit,
             InsertionOptions::default(),
+            &mut [],
         )
         .unwrap();
         assert!(out.achieved);
@@ -455,6 +449,7 @@ mod tests {
             &mut crowd,
             &mut ProvenanceSplit,
             InsertionOptions::default(),
+            &mut [],
         )
         .unwrap();
         // Q2 has 7 variables; x is bound by the answer → 6 remain in Q|t.
@@ -474,6 +469,7 @@ mod tests {
             &mut crowd,
             &mut ProvenanceSplit,
             InsertionOptions::default(),
+            &mut [],
         )
         .unwrap();
         assert!(!out.achieved);
@@ -492,6 +488,7 @@ mod tests {
             &mut crowd,
             &mut ProvenanceSplit,
             InsertionOptions::default(),
+            &mut [],
         )
         .unwrap();
         assert!(out.achieved);
@@ -518,6 +515,7 @@ mod tests {
             &mut crowd,
             &mut NaiveSplit,
             InsertionOptions::default(),
+            &mut [],
         )
         .unwrap_err();
         assert!(matches!(err, CleanError::Query(_)));

@@ -15,7 +15,8 @@
 //!   (WhyNot?-style), Min-Cut (Stoer–Wagner on the query graph), Random,
 //!   and Naïve (no split);
 //! * [`insertion`] — Algorithm 2 `CrowdAddMissingAnswer`;
-//! * [`cleaner`] — Algorithm 3, the iterative mixed cleaner;
+//! * [`cleaner`] — Algorithm 3, the iterative mixed cleaner, for CQ and
+//!   union-of-CQ views alike;
 //! * [`report`] — session reports: edits, per-phase question ledgers,
 //!   convergence data.
 
@@ -35,13 +36,11 @@ pub mod report;
 pub mod split;
 pub mod store;
 mod tracked;
-pub mod ucq_clean;
 
 pub use cleaner::{clean_view, clean_view_with_estimator, CleaningConfig, CleaningReport};
 pub use composite::{crowd_remove_wrong_answer_composite, find_false_facts};
 pub use deletion::{
-    crowd_remove_wrong_answer, crowd_remove_wrong_answer_tracked, crowd_remove_wrong_answer_with,
-    DeletionOutcome, DeletionStrategy,
+    crowd_remove_wrong_answer, crowd_remove_wrong_answer_with, DeletionOutcome, DeletionStrategy,
 };
 pub use error::CleanError;
 pub use figure1::{figure1_ground, figure1_spec};
@@ -49,9 +48,7 @@ pub use heuristics::{
     MostFrequentSelector, RandomSelector, ResponsibilitySelector, TrustSelector, TupleSelector,
 };
 pub use hitting_set::HittingSetInstance;
-pub use insertion::{
-    crowd_add_missing_answer, crowd_add_missing_answer_tracked, InsertionOptions, InsertionOutcome,
-};
+pub use insertion::{crowd_add_missing_answer, InsertionOptions, InsertionOutcome};
 pub use machine::{
     FinishedSession, SessionMachine, SessionSpec, SessionState, SubmitError, SubmitOutcome,
 };
@@ -61,4 +58,3 @@ pub use split::{
     SplitStrategyKind,
 };
 pub use store::{deletion_from_str, deletion_to_str, split_from_str, split_to_str, SessionStore};
-pub use ucq_clean::{clean_union_view, union_answer_set};

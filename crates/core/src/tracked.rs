@@ -1,11 +1,10 @@
 //! Applying edits while keeping materialized views current.
 //!
-//! The `*_tracked` variants of Algorithms 1 and 2 thread a slice of
-//! [`MaterializedView`]s through every edit they derive: the edit is
-//! applied to the database eagerly and each view is brought up to date
-//! incrementally, so the sweeps in [`crate::cleaner`] and
-//! [`crate::ucq_clean`] can read cached answer sets instead of
-//! re-evaluating the query after every mutation.
+//! Algorithms 1 and 2 thread a slice of [`MaterializedView`]s (one per
+//! disjunct of the view being cleaned) through every edit they derive: the
+//! edit is applied to the database eagerly and each view is brought up to
+//! date incrementally, so the sweeps in [`crate::cleaner`] can read cached
+//! answer sets instead of re-evaluating the query after every mutation.
 
 use qoco_data::{Database, Edit};
 use qoco_engine::MaterializedView;

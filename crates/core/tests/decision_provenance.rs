@@ -12,7 +12,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use qoco_core::{clean_view, CleaningConfig};
 use qoco_crowd::{Journal, PerfectOracle, SingleExpert};
 use qoco_data::{tup, Database, Schema};
-use qoco_query::parse_query;
+use qoco_query::{parse_query, UnionQuery};
 use qoco_telemetry::{DecisionRecord, InMemoryCollector};
 
 fn session_lock() -> &'static Mutex<()> {
@@ -244,4 +244,63 @@ fn killed_and_resumed_session_replays_an_identical_decision_log() {
         rs.iter().map(|r| r.decision).collect()
     };
     assert_eq!(tags(&records), tags(&resumed_journal.records()));
+}
+
+/// Decision kinds that cost no crowd interaction — qoco-cli's
+/// `NON_QUESTION_KINDS`, which its `explain` budget summary excludes.
+const NON_QUESTION_KINDS: &[&str] = &[
+    "deletion.plan",
+    "deletion.certificate",
+    "insertion.split",
+    "crowd.retry",
+    "crowd.escalation",
+];
+
+#[test]
+fn every_question_of_a_union_session_has_a_decision() {
+    let _guard = session_lock().lock().unwrap_or_else(|p| p.into_inner());
+    let schema = Schema::builder()
+        .relation("Games", &["date", "winner", "runner_up", "stage", "result"])
+        .build()
+        .unwrap();
+    let mut dirty = Database::empty(schema.clone());
+    let mut ground = Database::empty(schema.clone());
+    for db in [&mut dirty, &mut ground] {
+        db.insert_named("Games", tup!["13.07.14", "GER", "ARG", "Final", "1:0"])
+            .unwrap();
+    }
+    // (BRA) and (FRA) are wrong; (ESP) and (NED) are missing
+    dirty
+        .insert_named("Games", tup!["99.99.99", "BRA", "FRA", "Final", "9:0"])
+        .unwrap();
+    ground
+        .insert_named("Games", tup!["11.07.10", "ESP", "NED", "Final", "1:0"])
+        .unwrap();
+    let won = parse_query(&schema, r#"W(x) :- Games(d, x, y, "Final", u)"#).unwrap();
+    let lost = parse_query(&schema, r#"L(x) :- Games(d, y, x, "Final", u)"#).unwrap();
+    let union = UnionQuery::new("Finalists", vec![won, lost]).unwrap();
+
+    let collector = Arc::new(InMemoryCollector::new());
+    let report = {
+        let _session = qoco_telemetry::session(collector.clone());
+        let mut crowd = SingleExpert::new(PerfectOracle::new(ground));
+        clean_view(&union, &mut dirty, &mut crowd, CleaningConfig::default()).unwrap()
+    };
+    assert!(report.missing_answers >= 1, "{report}");
+
+    let decisions = collector.decisions();
+    let question_decisions = decisions
+        .iter()
+        .filter(|d| !NON_QUESTION_KINDS.contains(&d.kind))
+        .count();
+    let s = report.total_stats;
+    let questions = s.verify_answer_questions
+        + s.verify_fact_questions
+        + s.satisfiable_questions
+        + s.composite_questions
+        + s.complete_tasks
+        + s.complete_result_tasks;
+    assert_eq!(question_decisions, questions, "{report}");
+    // the per-disjunct completeness questions are among them
+    assert!(decisions.iter().any(|d| d.kind == "clean.complete_result"));
 }

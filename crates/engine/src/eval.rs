@@ -48,7 +48,7 @@ use std::cmp::Reverse;
 use std::fmt::Write as _;
 
 use qoco_data::{Database, Relation, Tuple, TupleId, Value};
-use qoco_query::{ConjunctiveQuery, Inequality, Term, Var};
+use qoco_query::{ConjunctiveQuery, Inequality, Term, UnionQuery, Var};
 
 use crate::assignment::Assignment;
 
@@ -641,6 +641,19 @@ pub fn answer_set(q: &ConjunctiveQuery, db: &Database) -> Vec<Tuple> {
     evaluate(q, db).answers(q)
 }
 
+/// The union's answer set `U(D)`: the disjuncts' answers, sorted and
+/// deduplicated.
+pub fn union_answer_set(uq: &UnionQuery, db: &Database) -> Vec<Tuple> {
+    let mut out: Vec<Tuple> = uq
+        .disjuncts()
+        .iter()
+        .flat_map(|q| answer_set(q, db))
+        .collect();
+    out.sort();
+    out.dedup();
+    out
+}
+
 /// `A(t, Q, D)`: the valid assignments yielding answer `t`. Empty if `t` is
 /// not an answer (including arity mismatches).
 pub fn assignments_for_answer(q: &ConjunctiveQuery, db: &Database, t: &Tuple) -> Vec<Assignment> {
@@ -1020,5 +1033,26 @@ mod tests {
         let (s, db) = world_cup();
         let q = q1(&s);
         assert!(assignments_for_answer(&q, &db, &tup!["GER", "extra"]).is_empty());
+    }
+
+    #[test]
+    fn union_answers_union_the_disjuncts() {
+        let (s, db) = world_cup();
+        let won = parse_query(&s, r#"W(x) :- Games(d, x, y, "Final", u)"#).unwrap();
+        let lost = parse_query(&s, r#"L(x) :- Games(d, y, x, "Final", u)"#).unwrap();
+        let uq = UnionQuery::new("Finalists", vec![won, lost]).unwrap();
+        // GER both won and lost a final: listed once
+        assert_eq!(
+            union_answer_set(&uq, &db),
+            vec![
+                tup!["ARG"],
+                tup!["BRA"],
+                tup!["ESP"],
+                tup!["FRA"],
+                tup!["GER"],
+                tup!["ITA"],
+                tup!["NED"]
+            ]
+        );
     }
 }

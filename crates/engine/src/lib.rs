@@ -28,7 +28,7 @@ pub mod witness;
 pub use assignment::Assignment;
 pub use eval::{
     all_assignments, answer_set, assignments_for_answer, evaluate, explain, is_satisfiable,
-    EvalOptions, EvalResult,
+    union_answer_set, EvalOptions, EvalResult,
 };
 pub use view::{delta_satisfiable, MaterializedView, ViewDelta};
 pub use whynot::frontier_split;

@@ -81,6 +81,20 @@ impl UnionQuery {
     }
 }
 
+/// A CQ is a union of one disjunct: the cleaner takes either view type
+/// as its slice of disjuncts.
+impl AsRef<[ConjunctiveQuery]> for ConjunctiveQuery {
+    fn as_ref(&self) -> &[ConjunctiveQuery] {
+        std::slice::from_ref(self)
+    }
+}
+
+impl AsRef<[ConjunctiveQuery]> for UnionQuery {
+    fn as_ref(&self) -> &[ConjunctiveQuery] {
+        self.disjuncts()
+    }
+}
+
 impl fmt::Debug for UnionQuery {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         for (i, d) in self.disjuncts.iter().enumerate() {

@@ -6,14 +6,15 @@
 //!   count-threshold fragment that desugars into the paper's own Q1 shape;
 //! * unioned with "teams that lost ≥ 3 finals" (a second threshold view);
 //! * minimized (subsumption + query cores) before cleaning;
-//! * cleaned end-to-end with `clean_union_view`.
+//! * cleaned end-to-end with `clean_view`, which takes a union as readily
+//!   as a single CQ.
 //!
 //! Run with: `cargo run --release --example threshold_views`
 
-use qoco::core::ucq_clean::{clean_union_view, union_answer_set};
-use qoco::core::CleaningConfig;
+use qoco::core::{clean_view, CleaningConfig};
 use qoco::crowd::{PerfectOracle, SingleExpert};
 use qoco::datasets::{generate_soccer, plant_wrong_answers, SoccerConfig};
+use qoco::engine::union_answer_set;
 use qoco::query::{parse_query, unfold_at_least, UnionQuery, Var};
 
 fn main() {
@@ -49,7 +50,7 @@ fn main() {
     println!("\nanswers before cleaning: {}", before.len());
 
     let mut crowd = SingleExpert::new(PerfectOracle::new(ground.clone()));
-    let report = clean_union_view(&union, &mut dirty, &mut crowd, CleaningConfig::default())
+    let report = clean_view(&union, &mut dirty, &mut crowd, CleaningConfig::default())
         .expect("cleaning converges");
 
     let after = union_answer_set(&union, &dirty);

@@ -41,6 +41,14 @@ if grep -rnE 'rayon|RAYON_NUM_THREADS|span_child_of|par_chunk|crossbeam|parking_
   echo "parallel-evaluation or forked-cleaner remnants (listed above)" >&2
   exit 1
 fi
+# union views run through the same clean_view loop (a CQ is a union of one
+# disjunct), and Algorithms 1 and 2 take their views directly: no second
+# loop, no forwarding wrappers (`apply_tracked` stays legal)
+if grep -rnE 'ucq_clean|clean_union_view|crowd_remove_wrong_answer_tracked|crowd_add_missing_answer_tracked|union\.verify_answer' \
+  src crates examples tests; then
+  echo "union-cleaner fork or forwarding-wrapper remnants (listed above)" >&2
+  exit 1
+fi
 
 echo "== unreached modules stay deleted =="
 # key/foreign-key repair, the Proposition 3.4 enumeration, Edmonds–Karp

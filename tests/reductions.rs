@@ -105,9 +105,15 @@ fn theorem_4_2_deletions_form_a_hitting_set() {
         let (mut db, ground, q) = hitting_set_gadget(n, &sets);
         let target = Tuple::new(vec![Value::text("d")]);
         let mut crowd = SingleExpert::new(PerfectOracle::new(ground.clone()));
-        let out =
-            crowd_remove_wrong_answer(&q, &mut db, &target, &mut crowd, DeletionStrategy::Qoco)
-                .unwrap();
+        let out = crowd_remove_wrong_answer(
+            &q,
+            &mut db,
+            &target,
+            &mut crowd,
+            DeletionStrategy::Qoco,
+            &mut [],
+        )
+        .unwrap();
         assert!(
             answer_set(&q, &db).is_empty(),
             "the wrong answer must be gone"
@@ -223,6 +229,7 @@ fn theorem_5_2_insertion_encodes_a_satisfying_assignment() {
         &mut crowd,
         &mut NaiveSplit,
         InsertionOptions::default(),
+        &mut [],
     )
     .unwrap();
     assert!(out.achieved);
@@ -271,6 +278,7 @@ fn theorem_5_2_unsatisfiable_formula_cannot_be_inserted() {
         &mut crowd,
         &mut NaiveSplit,
         InsertionOptions::default(),
+        &mut [],
     )
     .unwrap();
     assert!(
