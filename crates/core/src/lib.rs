@@ -18,7 +18,9 @@
 //! * [`cleaner`] — Algorithm 3, the iterative mixed cleaner, for CQ and
 //!   union-of-CQ views alike;
 //! * [`report`] — session reports: edits, per-phase question ledgers,
-//!   convergence data.
+//!   convergence data;
+//! * [`machine`] and [`store`] — resumable sessions for `qoco-serve`: the
+//!   stepped cleaner, the session-spec JSON codec and the on-disk store.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -57,4 +59,7 @@ pub use split::{
     InstrumentedSplit, MinCutSplit, NaiveSplit, ProvenanceSplit, RandomSplit, SplitStrategy,
     SplitStrategyKind,
 };
-pub use store::{deletion_from_str, deletion_to_str, split_from_str, split_to_str, SessionStore};
+pub use store::{
+    decode_spec, deletion_from_str, deletion_to_str, spec_json, split_from_str, split_to_str,
+    SessionStore,
+};

@@ -1,24 +1,38 @@
-//! Durable backing for parked sessions.
+//! Durable backing for parked sessions, and the session-spec JSON format
+//! that both the `POST /sessions` API and the store speak.
 //!
 //! A [`SessionStore`] keeps one directory per session under its root:
 //!
 //! ```text
-//! <root>/<id>/spec.txt          schema + query + strategy config
-//! <root>/<id>/db/<rel>.tsv      the dirty database (qoco_data::save_dir)
+//! <root>/<id>/spec.json         the spec as a `POST /sessions` body (spec_json)
 //! <root>/<id>/session.journal   consumed-answer log (PR 4 wire format)
-//! <root>/<id>/epoch             rehydration counter (see below)
+//! <root>/<id>/epoch             rehydration counter, from the first restart on
 //! <root>/.<id>.staging/         the same files while a create is writing them
 //! ```
 //!
+//! One format serves the wire and the disk: [`decode_spec`] reads an API
+//! body and a stored `spec.json` alike, and [`spec_json`] is its inverse.
+//! The decoder streams the body through the telemetry crate's JSON
+//! [`Reader`]: the small members (schema, query, strategies) become JSON
+//! trees, while `rows` is read cell by cell straight into the database, with
+//! no tree and no `String` for an escape-free text cell. A spec the API
+//! cannot express (an integer cell outside ±9e15, a non-default insertion
+//! or iteration budget, a deadline that is not a positive integer `f64`
+//! holds exactly) is refused by [`SessionStore::create`] with
+//! `InvalidInput`, so a stored session always loads back to the spec it
+//! was created from.
+//!
 //! [`SessionStore::create`] is atomic with respect to a crash of this
-//! process: it writes the whole directory under a staging name,
-//! `<root>/.<id>.staging`, and renames it to `<root>/<id>` only once every
-//! file is in place. [`SessionStore::valid_id`] rejects the staging name,
-//! so [`SessionStore::list`] never sees a half-created session, and
-//! [`SessionStore::open`] deletes any staging directory a crash left
-//! behind. Durability across power loss is out of scope: the created files
-//! and the root directory are not fsynced, so the OS may still lose a
-//! fresh session that the serve API acknowledged.
+//! process: it writes `spec.json` and the empty journal under a staging
+//! name, `<root>/.<id>.staging`, and renames the directory to `<root>/<id>`
+//! only once both are in place. [`SessionStore::valid_id`] rejects the
+//! staging name, so [`SessionStore::list`] never sees a half-created
+//! session, and [`SessionStore::open`] deletes any staging directory a
+//! crash left behind. Durability across power loss is out of scope: the
+//! created files and the root directory are not fsynced, so the OS may
+//! still lose a fresh session that the serve API acknowledged. A session
+//! directory in the retired `spec.txt` + `db/` layout makes `open` and
+//! `list` fail with an error naming it; no reader for that layout remains.
 //!
 //! The write discipline is write-ahead: [`SessionStore::append_answer`]
 //! persists (append + flush + fsync) the answer record *before* the
@@ -28,30 +42,35 @@
 //! in-flight session bit-identically — including a torn final journal
 //! line, which `Journal::parse` drops.
 //!
-//! The epoch file counts rehydrations. Every restart bumps it, and the
-//! serve API echoes the current epoch in every response: an answer
-//! submitted under an older epoch is *stale* — it raced a crash, and its
-//! question may have been re-issued — so it is acknowledged without being
-//! applied (the journal already holds whatever the dead process accepted).
+//! The epoch counts rehydrations. Every restart bumps it, and the serve API
+//! echoes the current epoch in every response: an answer submitted under
+//! an older epoch is *stale* — it raced a crash, and its question may have
+//! been re-issued — so it is acknowledged without being applied (the
+//! journal already holds whatever the dead process accepted). A session
+//! that was never rehydrated has no epoch file and is at epoch 1.
 //!
 //! For fault-injection tests, [`SessionStore::fail_appends`] makes every
 //! subsequent journal append fail like a full disk, letting callers assert
 //! the degrade path (count `journal.write_errors`, expire to a PARTIAL
 //! REPORT) without a real ENOSPC.
 
+use std::borrow::Cow;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 use std::fs;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 
 use qoco_crowd::JournalRecord;
-use qoco_data::{load_dir, save_dir, Database, Schema};
+use qoco_data::{Database, Fact, Schema, TextInterner, Tuple, Value};
 use qoco_query::parse_query;
+use qoco_telemetry::json::{push_json_str, Json, ParseError, Reader};
 
 use crate::cleaner::CleaningConfig;
 use crate::deletion::DeletionStrategy;
-use crate::insertion::InsertionOptions;
+use crate::figure1::figure1_spec;
 use crate::machine::SessionSpec;
 use crate::split::SplitStrategyKind;
 
@@ -109,146 +128,336 @@ pub fn split_from_str(s: &str) -> Result<SplitStrategyKind, String> {
     }
 }
 
-fn escape_line(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for b in s.bytes() {
-        match b {
-            b'%' | b'\t' | b'\n' | b'\r' => {
-                let _ = write!(out, "%{b:02X}");
-            }
-            _ => out.push(b as char),
-        }
-    }
-    out
+/// Integer cells must stay below this magnitude: every such integer
+/// survives the `f64` that JSON numbers decode through.
+const MAX_INT_CELL: u64 = 9_000_000_000_000_000;
+
+/// Why a body is not a spec: its JSON is malformed, or it is JSON that
+/// does not describe a spec.
+enum SpecError {
+    Json(ParseError),
+    Spec(String),
 }
 
-fn unescape_line(s: &str) -> Result<String, String> {
-    let mut out = Vec::new();
-    let bytes = s.as_bytes();
-    let mut i = 0;
-    while i < bytes.len() {
-        if bytes[i] == b'%' {
-            let hex = bytes
-                .get(i + 1..i + 3)
-                .and_then(|h| std::str::from_utf8(h).ok())
-                .ok_or_else(|| format!("truncated escape in {s:?}"))?;
-            out.push(u8::from_str_radix(hex, 16).map_err(|_| format!("bad escape in {s:?}"))?);
-            i += 3;
-        } else {
-            out.push(bytes[i]);
-            i += 1;
+impl From<ParseError> for SpecError {
+    fn from(e: ParseError) -> Self {
+        SpecError::Json(e)
+    }
+}
+
+impl From<String> for SpecError {
+    fn from(message: String) -> Self {
+        SpecError::Spec(message)
+    }
+}
+
+impl From<&str> for SpecError {
+    fn from(message: &str) -> Self {
+        SpecError::Spec(message.to_string())
+    }
+}
+
+/// Decode a session spec: a `POST /sessions` body or a stored `spec.json`.
+/// It is either a named example, `{"example":"figure1"}`, or an inline
+/// `schema` + `rows` + `query`; both may set `deletion`, `split` and
+/// `deadline_ms`. Members may come in any order, and a member may appear
+/// only once.
+pub fn decode_spec(body: &str) -> Result<SessionSpec, String> {
+    decode(body).map_err(|e| match e {
+        SpecError::Json(e) => format!("bad JSON: {e}"),
+        SpecError::Spec(message) => message,
+    })
+}
+
+fn decode(body: &str) -> Result<SessionSpec, SpecError> {
+    let mut r = Reader::new(body);
+    if r.peek() != Some(b'{') {
+        // not an object: still report malformed JSON as such
+        r.skip()?;
+        r.finish()?;
+        return Err("a session spec must be a JSON object".into());
+    }
+    r.begin_object()?;
+    // Every member but `rows` is small and kept as a tree. `rows` streams
+    // into `dirty` once the schema is known; rows sent before the schema
+    // are validated, kept as a span, and decoded at the end. A content
+    // error in streamed rows is held in `dirty`, as a bad schema is, and
+    // surfaces only if no `example` makes the rows moot: the answer does
+    // not depend on member order.
+    let mut members = BTreeMap::new();
+    let mut seen: BTreeSet<Cow<str>> = BTreeSet::new();
+    let mut dirty: Option<Result<Database, String>> = None;
+    let mut rows_span = None;
+    let mut interner = TextInterner::new();
+    while let Some(key) = r.next_key()? {
+        if seen.contains(&key) {
+            return Err(format!("member `{key}` appears twice").into());
+        }
+        match &*key {
+            "rows" => match dirty.as_mut() {
+                Some(Ok(db)) => {
+                    let start = r.clone();
+                    if let Err(e) = decode_rows(&mut r, db, &mut interner) {
+                        let SpecError::Spec(message) = e else {
+                            return Err(e);
+                        };
+                        r = start;
+                        r.skip()?;
+                        dirty = Some(Err(message));
+                    }
+                }
+                _ => rows_span = Some(r.skip()?),
+            },
+            "schema" => dirty = Some(decode_schema(&r.value()?).map(Database::empty)),
+            _ => {
+                members.insert(key.to_string(), r.value()?);
+            }
+        }
+        seen.insert(key);
+    }
+    r.finish()?;
+    let body = Json::Object(members);
+    let mut spec = if let Some(example) = body.get("example") {
+        match example.as_str() {
+            Some("figure1") => figure1_spec(),
+            Some(other) => {
+                return Err(format!("unknown example {other:?} (try \"figure1\")").into())
+            }
+            None => return Err("`example` must be a string".into()),
+        }
+    } else {
+        let mut dirty = dirty.unwrap_or_else(|| {
+            Err("`schema` must be an array of {name, attrs} relations".into())
+        })?;
+        if let Some(rows) = rows_span {
+            decode_rows(&mut Reader::new(rows), &mut dirty, &mut interner)?;
+        }
+        let query_text = body
+            .get("query")
+            .and_then(Json::as_str)
+            .ok_or("`query` must be a datalog string")?;
+        let query = parse_query(dirty.schema(), query_text).map_err(|e| e.to_string())?;
+        SessionSpec {
+            query,
+            dirty,
+            config: CleaningConfig::default(),
+            deadline_ms: None,
+        }
+    };
+    if let Some(d) = body.get("deletion") {
+        let tag = d.as_str().ok_or("`deletion` must be a string")?;
+        spec.config.deletion = deletion_from_str(tag)?;
+    }
+    if let Some(s) = body.get("split") {
+        let tag = s.as_str().ok_or("`split` must be a string")?;
+        spec.config.split = split_from_str(tag)?;
+    }
+    if let Some(ms) = body.get("deadline_ms") {
+        let ms = ms
+            .as_f64()
+            .filter(|v| v.fract() == 0.0 && *v > 0.0)
+            .ok_or("`deadline_ms` must be a positive integer")?;
+        spec.deadline_ms = Some(ms as u64);
+    }
+    Ok(spec)
+}
+
+fn decode_schema(json: &Json) -> Result<Arc<Schema>, String> {
+    let rels = json
+        .as_array()
+        .ok_or("`schema` must be an array of {name, attrs} relations")?;
+    let mut builder = Schema::builder();
+    for rel in rels {
+        let name = rel
+            .get("name")
+            .and_then(Json::as_str)
+            .ok_or("each relation needs a string `name`")?;
+        let attrs: Vec<&str> = rel
+            .get("attrs")
+            .and_then(Json::as_array)
+            .ok_or("each relation needs an `attrs` array")?
+            .iter()
+            .map(|a| a.as_str().ok_or("attrs must be strings"))
+            .collect::<Result<_, _>>()?;
+        builder = builder.relation(name, &attrs);
+    }
+    builder.build().map_err(|e| e.to_string())
+}
+
+/// Read the `rows` object, `{"Rel":[[cell, …], …], …}`, into `dirty`
+/// without building JSON values. A relation's rows are collected first so
+/// that the relation can reserve room for all of them at once.
+fn decode_rows(
+    r: &mut Reader,
+    dirty: &mut Database,
+    interner: &mut TextInterner,
+) -> Result<(), SpecError> {
+    if r.peek() != Some(b'{') {
+        return Err("`rows` must be an object of row arrays by relation name".into());
+    }
+    r.begin_object()?;
+    let schema = dirty.schema().clone();
+    let mut named: BTreeSet<Cow<str>> = BTreeSet::new();
+    let mut tuples = Vec::new();
+    while let Some(name) = r.next_key()? {
+        if named.contains(&name) {
+            return Err(format!("rows for {name} appear twice").into());
+        }
+        if r.peek() != Some(b'[') {
+            return Err(format!("rows for {name} must be an array").into());
+        }
+        r.begin_array()?;
+        let mut rel = None;
+        while r.next_item()? {
+            let id = match rel {
+                Some(id) => id,
+                None => *rel.insert(schema.rel_id(&name).map_err(|e| e.to_string())?),
+            };
+            if r.peek() != Some(b'[') {
+                return Err("each row must be an array of cells".into());
+            }
+            r.begin_array()?;
+            let mut cells = Vec::with_capacity(schema.arity(id));
+            while r.next_item()? {
+                cells.push(decode_cell(r, interner)?);
+            }
+            tuples.push(Tuple::new(cells));
+        }
+        if let Some(rel) = rel {
+            dirty.relation_mut(rel).reserve(tuples.len());
+            for t in tuples.drain(..) {
+                dirty.insert(Fact::new(rel, t)).map_err(|e| e.to_string())?;
+            }
+        }
+        named.insert(name);
+    }
+    Ok(())
+}
+
+/// One cell: a string (interned; borrowed from the body when it has no
+/// escapes) or an integer below ±9e15.
+fn decode_cell(r: &mut Reader, interner: &mut TextInterner) -> Result<Value, SpecError> {
+    let n = match r.peek() {
+        Some(b'"') => return Ok(interner.text(&r.string()?)),
+        Some(b'-' | b'0'..=b'9') => r.number()?,
+        _ => {
+            let other = r.value()?;
+            return Err(format!("expected a string or integer cell, got {other:?}").into());
+        }
+    };
+    if n.fract() == 0.0 && n.abs() < MAX_INT_CELL as f64 {
+        Ok(Value::int(n as i64))
+    } else {
+        Err(format!(
+            "expected a string or integer cell, got {:?}",
+            Json::Number(n)
+        )
+        .into())
+    }
+}
+
+/// Render `spec` as an inline `POST /sessions` body, rows in arena order:
+/// [`decode_spec`] reads it back to the same spec. Fails, naming the
+/// value, for a spec the API cannot express.
+pub fn spec_json(spec: &SessionSpec) -> Result<String, String> {
+    let defaults = CleaningConfig::default();
+    let max_assignments = spec.config.insertion.max_assignments_per_subquery;
+    if max_assignments != defaults.insertion.max_assignments_per_subquery {
+        return Err(format!(
+            "max_assignments {max_assignments} is not the default {}; a session spec \
+             cannot carry it",
+            defaults.insertion.max_assignments_per_subquery
+        ));
+    }
+    if spec.config.max_iterations != defaults.max_iterations {
+        return Err(format!(
+            "max_iterations {} is not the default {}; a session spec cannot carry it",
+            spec.config.max_iterations, defaults.max_iterations
+        ));
+    }
+    if let Some(ms) = spec.deadline_ms {
+        if ms == 0 || ms as f64 as u64 != ms {
+            return Err(format!(
+                "deadline_ms {ms} is not a positive integer a JSON number holds exactly"
+            ));
         }
     }
-    String::from_utf8(out).map_err(|_| format!("non-utf8 payload in {s:?}"))
+    let schema = spec.dirty.schema();
+    let mut out = String::from("{\"schema\":[");
+    for (i, (_, rel)) in schema.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str("{\"name\":");
+        push_json_str(&mut out, rel.name());
+        out.push_str(",\"attrs\":[");
+        for (j, attr) in rel.attrs().iter().enumerate() {
+            if j > 0 {
+                out.push(',');
+            }
+            push_json_str(&mut out, attr);
+        }
+        out.push_str("]}");
+    }
+    out.push_str("],\"rows\":{");
+    for (i, (id, rel)) in schema.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        push_json_str(&mut out, rel.name());
+        out.push_str(":[");
+        for (j, t) in spec.dirty.relation(id).iter().enumerate() {
+            out.push_str(if j > 0 { ",[" } else { "[" });
+            for (k, v) in t.values().iter().enumerate() {
+                if k > 0 {
+                    out.push(',');
+                }
+                match v {
+                    Value::Int(n) if n.unsigned_abs() < MAX_INT_CELL => {
+                        let _ = write!(out, "{n}");
+                    }
+                    Value::Int(n) => {
+                        return Err(format!(
+                            "integer cell {n} in {} is outside ±9e15; a session spec \
+                             cannot carry it",
+                            rel.name()
+                        ))
+                    }
+                    Value::Text(s) => push_json_str(&mut out, s),
+                }
+            }
+            out.push(']');
+        }
+        out.push(']');
+    }
+    out.push_str("},\"query\":");
+    push_json_str(&mut out, &spec.query.display());
+    out.push_str(",\"deletion\":");
+    push_json_str(&mut out, &deletion_to_str(spec.config.deletion));
+    out.push_str(",\"split\":");
+    push_json_str(&mut out, &split_to_str(spec.config.split));
+    if let Some(ms) = spec.deadline_ms {
+        let _ = write!(out, ",\"deadline_ms\":{ms}");
+    }
+    out.push('}');
+    Ok(out)
 }
 
 fn bad_data(e: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, e.into())
 }
 
-/// Serialize a spec's scalar half (everything but the database) to the
-/// `spec.txt` key–value format.
-fn spec_text(spec: &SessionSpec) -> String {
-    let mut out = String::from("qoco-session-spec\tv1\n");
-    for (_, decl) in spec.dirty.schema().iter() {
-        let _ = write!(out, "relation\t{}", escape_line(decl.name()));
-        for attr in decl.attrs() {
-            let _ = write!(out, "\t{}", escape_line(attr));
-        }
-        out.push('\n');
+/// A session directory in the retired `spec.txt` + `db/` layout is an
+/// error, never skipped: its session would vanish silently.
+fn refuse_retired_layout(dir: &Path) -> io::Result<()> {
+    if dir.join("spec.txt").exists() && !dir.join("spec.json").exists() {
+        return Err(bad_data(format!(
+            "{}: session stored in the retired spec.txt layout, which this version \
+             cannot read",
+            dir.display()
+        )));
     }
-    let _ = writeln!(out, "query\t{}", escape_line(&spec.query.display()));
-    let _ = writeln!(out, "deletion\t{}", deletion_to_str(spec.config.deletion));
-    let _ = writeln!(out, "split\t{}", split_to_str(spec.config.split));
-    let _ = writeln!(
-        out,
-        "max_assignments\t{}",
-        spec.config.insertion.max_assignments_per_subquery
-    );
-    let _ = writeln!(out, "max_iterations\t{}", spec.config.max_iterations);
-    if let Some(ms) = spec.deadline_ms {
-        let _ = writeln!(out, "deadline_ms\t{ms}");
-    }
-    out
-}
-
-/// Parse `spec.txt` back into a spec with an *empty* database of the
-/// recorded schema; the caller fills the database from `db/`.
-fn parse_spec_text(text: &str) -> io::Result<SessionSpec> {
-    let mut lines = text.lines();
-    if lines.next() != Some("qoco-session-spec\tv1") {
-        return Err(bad_data("spec.txt: missing v1 header"));
-    }
-    let mut builder = Schema::builder();
-    let mut query_text: Option<String> = None;
-    let mut config = CleaningConfig::default();
-    let mut deadline_ms = None;
-    for line in lines {
-        if line.is_empty() {
-            continue;
-        }
-        let mut parts = line.split('\t');
-        let key = parts.next().unwrap_or("");
-        match key {
-            "relation" => {
-                let fields: Vec<String> = parts
-                    .map(unescape_line)
-                    .collect::<Result<_, _>>()
-                    .map_err(bad_data)?;
-                let (name, attrs) = fields
-                    .split_first()
-                    .ok_or_else(|| bad_data("spec.txt: relation line without a name"))?;
-                let attr_refs: Vec<&str> = attrs.iter().map(String::as_str).collect();
-                builder = builder.relation(name, &attr_refs);
-            }
-            "query" => {
-                let raw = parts
-                    .next()
-                    .ok_or_else(|| bad_data("spec.txt: empty query line"))?;
-                query_text = Some(unescape_line(raw).map_err(bad_data)?);
-            }
-            "deletion" => {
-                config.deletion =
-                    deletion_from_str(parts.next().unwrap_or("")).map_err(bad_data)?;
-            }
-            "split" => {
-                config.split = split_from_str(parts.next().unwrap_or("")).map_err(bad_data)?;
-            }
-            "max_assignments" => {
-                config.insertion = InsertionOptions {
-                    max_assignments_per_subquery: parts
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .ok_or_else(|| bad_data("spec.txt: bad max_assignments"))?,
-                };
-            }
-            "max_iterations" => {
-                config.max_iterations = parts
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or_else(|| bad_data("spec.txt: bad max_iterations"))?;
-            }
-            "deadline_ms" => {
-                deadline_ms = Some(
-                    parts
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .ok_or_else(|| bad_data("spec.txt: bad deadline_ms"))?,
-                );
-            }
-            other => return Err(bad_data(format!("spec.txt: unknown key {other:?}"))),
-        }
-    }
-    let schema = builder.build().map_err(|e| bad_data(e.to_string()))?;
-    let query_text = query_text.ok_or_else(|| bad_data("spec.txt: no query line"))?;
-    let query = parse_query(&schema, &query_text)
-        .map_err(|e| bad_data(format!("spec.txt: query does not parse: {e}")))?;
-    Ok(SessionSpec {
-        query,
-        dirty: Database::empty(schema),
-        config,
-        deadline_ms,
-    })
+    Ok(())
 }
 
 /// The on-disk session store; see the module docs.
@@ -269,8 +478,13 @@ impl SessionStore {
             let stale = name
                 .to_str()
                 .is_some_and(|n| n.starts_with('.') && n.ends_with(".staging"));
-            if stale && entry.file_type()?.is_dir() {
+            if !entry.file_type()?.is_dir() {
+                continue;
+            }
+            if stale {
                 fs::remove_dir_all(entry.path())?;
+            } else {
+                refuse_retired_layout(&entry.path())?;
             }
         }
         Ok(SessionStore {
@@ -305,14 +519,21 @@ impl SessionStore {
                 .all(|b| b.is_ascii_alphanumeric() || b == b'-' || b == b'_')
     }
 
-    /// Persist a fresh session: spec + dirty database + empty journal +
-    /// epoch 1, staged under `.<id>.staging` and renamed into place, so a
-    /// crash leaves either the whole session or none of it. Fails if the
-    /// id already exists.
+    /// Persist a fresh session: `spec.json` + empty journal, staged under
+    /// `.<id>.staging` and renamed into place, so a crash leaves either the
+    /// whole session or none of it. Fails if the id already exists, and
+    /// with `InvalidInput` if `spec_json` cannot express the spec.
     pub fn create(&self, id: &str, spec: &SessionSpec) -> io::Result<()> {
+        let _span = qoco_telemetry::span("store.create");
         if !SessionStore::valid_id(id) {
             return Err(bad_data(format!("invalid session id {id:?}")));
         }
+        let body = spec_json(spec).map_err(|e| {
+            io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!("cannot store session {id}: {e}"),
+            )
+        })?;
         let dir = self.dir(id);
         if dir.exists() {
             return Err(io::Error::new(
@@ -322,11 +543,8 @@ impl SessionStore {
         }
         let staging = self.root.join(format!(".{id}.staging"));
         fs::create_dir(&staging)?;
-        let staged = save_dir(&spec.dirty, &staging.join("db"))
-            .map_err(|e| bad_data(e.to_string()))
-            .and_then(|()| fs::write(staging.join("spec.txt"), spec_text(spec)))
+        let staged = fs::write(staging.join("spec.json"), body)
             .and_then(|()| fs::write(staging.join("session.journal"), ""))
-            .and_then(|()| fs::write(staging.join("epoch"), "1\n"))
             .and_then(|()| fs::rename(&staging, &dir));
         if staged.is_err() {
             // best-effort: leave no half-written stage behind
@@ -338,11 +556,10 @@ impl SessionStore {
     /// Load a session's spec and consumed-answer log. A torn final journal
     /// line (crash mid-append) is dropped, exactly as `--resume` does.
     pub fn load(&self, id: &str) -> io::Result<(SessionSpec, Vec<JournalRecord>)> {
-        let dir = self.dir(id);
-        let mut spec = parse_spec_text(&fs::read_to_string(dir.join("spec.txt"))?)?;
-        let schema = spec.dirty.schema().clone();
-        spec.dirty = load_dir(schema, &dir.join("db")).map_err(|e| bad_data(e.to_string()))?;
-        let journal_text = fs::read_to_string(dir.join("session.journal"))?;
+        let path = self.dir(id).join("spec.json");
+        let spec = decode_spec(&fs::read_to_string(&path)?)
+            .map_err(|e| bad_data(format!("{}: {e}", path.display())))?;
+        let journal_text = fs::read_to_string(self.dir(id).join("session.journal"))?;
         let log = qoco_crowd::Journal::parse(&journal_text).map_err(bad_data)?;
         Ok((spec, log))
     }
@@ -373,7 +590,12 @@ impl SessionStore {
                 continue;
             }
             if let Some(name) = entry.file_name().to_str() {
-                if SessionStore::valid_id(name) && entry.path().join("spec.txt").exists() {
+                if !SessionStore::valid_id(name) {
+                    continue;
+                }
+                let dir = entry.path();
+                refuse_retired_layout(&dir)?;
+                if dir.join("spec.json").exists() {
                     out.push(name.to_string());
                 }
             }
@@ -382,12 +604,18 @@ impl SessionStore {
         Ok(out)
     }
 
-    /// The session's current epoch (1 = never rehydrated).
+    /// The session's current epoch (1 = never rehydrated, so no epoch
+    /// file yet).
     pub fn epoch(&self, id: &str) -> io::Result<u64> {
-        let text = fs::read_to_string(self.dir(id).join("epoch"))?;
-        text.trim()
-            .parse()
-            .map_err(|_| bad_data(format!("bad epoch file for session {id}")))
+        let dir = self.dir(id);
+        match fs::read_to_string(dir.join("epoch")) {
+            Ok(text) => text
+                .trim()
+                .parse()
+                .map_err(|_| bad_data(format!("bad epoch file for session {id}"))),
+            Err(e) if e.kind() == io::ErrorKind::NotFound && dir.is_dir() => Ok(1),
+            Err(e) => Err(e),
+        }
     }
 
     /// Bump and return the session's epoch — called once per rehydration,
@@ -403,6 +631,7 @@ impl SessionStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::insertion::InsertionOptions;
     use crate::machine::{SessionMachine, SubmitOutcome};
     use qoco_crowd::{Answer, Oracle, OracleError, PerfectOracle};
     use qoco_data::{tup, Fact};
@@ -550,10 +779,10 @@ mod tests {
             !dir.join(".s1.staging").exists(),
             "create renames its stage away"
         );
-        // a create that died after spec.txt but before the journal
+        // a create that died after spec.json but before the journal
         let torn = dir.join(".s2.staging");
         fs::create_dir_all(&torn).unwrap();
-        fs::write(torn.join("spec.txt"), spec_text(&fig1_spec())).unwrap();
+        fs::write(torn.join("spec.json"), spec_json(&fig1_spec()).unwrap()).unwrap();
         assert!(!SessionStore::valid_id(".s2.staging"));
         assert_eq!(store.list().unwrap(), vec!["s1".to_string()]);
         drop(store);
@@ -567,6 +796,85 @@ mod tests {
             store.list().unwrap(),
             vec!["s1".to_string(), "s2".to_string()]
         );
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn create_writes_one_spec_json_and_an_empty_journal() {
+        let dir = tmpdir("layout");
+        let store = SessionStore::open(&dir).unwrap();
+        let spec = fig1_spec();
+        store.create("s1", &spec).unwrap();
+        let mut files: Vec<String> = fs::read_dir(dir.join("s1"))
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        files.sort();
+        assert_eq!(files, ["session.journal", "spec.json"]);
+        let body = fs::read_to_string(dir.join("s1").join("spec.json")).unwrap();
+        assert_eq!(body, spec_json(&spec).unwrap(), "a POST /sessions body");
+        // no epoch file until the first restart
+        assert_eq!(store.epoch("s1").unwrap(), 1);
+        assert_eq!(store.bump_epoch("s1").unwrap(), 2);
+        assert_eq!(store.epoch("s1").unwrap(), 2);
+        assert!(
+            store.epoch("s9").is_err(),
+            "an unknown session has no epoch"
+        );
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn create_refuses_specs_the_api_cannot_express() {
+        let dir = tmpdir("inexpressible");
+        let store = SessionStore::open(&dir).unwrap();
+        let teams = fig1_spec().dirty.schema().rel_id("Teams").unwrap();
+        let mut big_int = fig1_spec();
+        big_int
+            .dirty
+            .insert(Fact::new(teams, tup![9_000_000_000_000_000i64, "EU"]))
+            .unwrap();
+        let mut assignments = fig1_spec();
+        assignments.config.insertion = InsertionOptions {
+            max_assignments_per_subquery: 10,
+        };
+        let mut iterations = fig1_spec();
+        iterations.config.max_iterations = 100;
+        for (spec, names) in [
+            (big_int, "9000000000000000"),
+            (assignments, "max_assignments"),
+            (iterations, "max_iterations"),
+        ] {
+            let err = store.create("s1", &spec).expect_err("inexpressible");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+            assert!(err.to_string().contains(names), "{err}");
+        }
+        assert!(
+            fs::read_dir(&dir).unwrap().next().is_none(),
+            "nothing written"
+        );
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_spec_txt_session_dir_fails_open_and_list_by_name() {
+        let dir = tmpdir("retired");
+        let store = SessionStore::open(&dir).unwrap();
+        store.create("s1", &fig1_spec()).unwrap();
+        let old = dir.join("s2");
+        fs::create_dir_all(old.join("db")).unwrap();
+        fs::write(old.join("spec.txt"), "qoco-session-spec\tv1\n").unwrap();
+        fs::write(old.join("session.journal"), "").unwrap();
+        for err in [
+            store.list().expect_err("list refuses"),
+            SessionStore::open(&dir).err().expect("open refuses"),
+        ] {
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            assert!(
+                err.to_string().contains(&old.display().to_string()),
+                "{err}"
+            );
+        }
         fs::remove_dir_all(&dir).ok();
     }
 

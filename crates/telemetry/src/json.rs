@@ -1,19 +1,25 @@
 //! Hand-rolled JSON (the crate is dependency-free, so no serde): string
-//! escaping for every exporter, and a minimal recursive-descent parser.
+//! escaping for every exporter, a pull [`Reader`], and the [`Json`] tree
+//! that [`Json::parse`] builds on top of it.
 //!
 //! Numbers are written with `Display`, which already produces valid JSON
-//! for the integer types used. The parser reads the HTTP API's request
-//! bodies, the committed `BENCH_eval.json` baseline and exported traces.
-//! It covers RFC 8259 minus the exotica nobody writes into those: numbers
-//! parse via `f64`, and `\uXXXX` escapes decode the BMP only (unpaired
-//! surrogates become the replacement character). Nesting deeper than
-//! [`MAX_DEPTH`] is rejected, so an untrusted body cannot exhaust the
-//! stack.
+//! for the integer types used. The reader has two consumers that share its
+//! one lexer. [`Json::parse`] builds a tree for small documents: the HTTP
+//! API's answer bodies, the committed `BENCH_eval.json` baseline and
+//! exported traces. A streaming decoder, such as the session-spec decoder
+//! in `qoco-core`, walks a large document value by value instead: it
+//! borrows escape-free strings straight from the input and [`Reader::skip`]s
+//! what it does not need. The lexer covers RFC 8259 minus the exotica
+//! nobody writes into those: numbers parse via `f64`, and `\uXXXX` escapes
+//! decode the BMP only (unpaired surrogates become the replacement
+//! character). Nesting deeper than [`MAX_DEPTH`] is rejected by every entry
+//! point, `skip` included, so an untrusted body cannot exhaust the stack.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
 
-/// The deepest array/object nesting [`Json::parse`] accepts.
+/// The deepest array/object nesting a [`Reader`] accepts.
 pub const MAX_DEPTH: usize = 128;
 
 /// A parsed JSON value.
@@ -37,18 +43,9 @@ impl Json {
     /// Parse a complete JSON document (trailing whitespace allowed,
     /// trailing garbage is an error).
     pub fn parse(text: &str) -> Result<Json, ParseError> {
-        let mut p = Parser {
-            text,
-            bytes: text.as_bytes(),
-            pos: 0,
-            depth: 0,
-        };
-        p.skip_ws();
-        let value = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(p.err("trailing characters after the document"));
-        }
+        let mut reader = Reader::new(text);
+        let value = reader.value()?;
+        reader.finish()?;
         Ok(value)
     }
 
@@ -102,38 +99,236 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-struct Parser<'a> {
+/// A pull reader over one JSON document.
+///
+/// The caller drives it by the shape it expects: [`Reader::peek`] at the
+/// next value, then read it with [`string`](Reader::string),
+/// [`number`](Reader::number), [`value`](Reader::value) or
+/// [`skip`](Reader::skip), or open it with
+/// [`begin_array`](Reader::begin_array) / [`begin_object`](Reader::begin_object)
+/// and step through it with [`next_item`](Reader::next_item) /
+/// [`next_key`](Reader::next_key) until they report the end. Every method
+/// skips leading whitespace. [`finish`](Reader::finish) rejects trailing
+/// characters after the document.
+#[derive(Clone)]
+pub struct Reader<'a> {
     text: &'a str,
     bytes: &'a [u8],
     pos: usize,
     /// Arrays/objects currently open.
     depth: usize,
+    /// The innermost open container has not been asked for an element yet
+    /// (set by `begin_*`, cleared by the first `next_item`/`next_key`).
+    first: bool,
 }
 
-impl Parser<'_> {
-    fn err(&self, message: &str) -> ParseError {
+impl<'a> Reader<'a> {
+    /// A reader positioned at the start of `text`.
+    pub fn new(text: &'a str) -> Reader<'a> {
+        Reader {
+            text,
+            bytes: text.as_bytes(),
+            pos: 0,
+            depth: 0,
+            first: false,
+        }
+    }
+
+    /// An error at the current byte offset.
+    fn error(&self, message: &str) -> ParseError {
         ParseError {
             message: message.to_string(),
             at: self.pos,
         }
     }
 
-    fn peek(&self) -> Option<u8> {
+    /// The first byte of the next value, after whitespace; `None` at the
+    /// end of the input.
+    pub fn peek(&mut self) -> Option<u8> {
+        self.skip_ws();
+        self.byte()
+    }
+
+    /// Open the array the reader is at.
+    pub fn begin_array(&mut self) -> Result<(), ParseError> {
+        self.open(b'[')
+    }
+
+    /// Step to the next element of the innermost open array: `true` when
+    /// one follows (read it next), `false` once the array is closed.
+    pub fn next_item(&mut self) -> Result<bool, ParseError> {
+        self.next_member(b']')
+    }
+
+    /// Open the object the reader is at.
+    pub fn begin_object(&mut self) -> Result<(), ParseError> {
+        self.open(b'{')
+    }
+
+    /// Step to the next member of the innermost open object: its key (read
+    /// the value next), or `None` once the object is closed. An escape-free
+    /// key is borrowed from the input.
+    pub fn next_key(&mut self) -> Result<Option<Cow<'a, str>>, ParseError> {
+        if !self.next_member(b'}')? {
+            return Ok(None);
+        }
+        let key = self.string()?;
+        self.colon()?;
+        Ok(Some(key))
+    }
+
+    /// Read a string. An escape-free string is borrowed from the input;
+    /// only one with escapes allocates.
+    pub fn string(&mut self) -> Result<Cow<'a, str>, ParseError> {
+        self.skip_ws();
+        self.expect(b'"')?;
+        let start = self.pos;
+        self.run();
+        if self.byte() == Some(b'"') {
+            self.pos += 1;
+            return Ok(Cow::Borrowed(&self.text[start..self.pos - 1]));
+        }
+        let mut out = self.text[start..self.pos].to_string();
+        self.string_tail(Some(&mut out))?;
+        Ok(Cow::Owned(out))
+    }
+
+    /// Read a number.
+    pub fn number(&mut self) -> Result<f64, ParseError> {
+        self.skip_ws();
+        let start = self.pos;
+        if self.byte() == Some(b'-') {
+            self.pos += 1;
+        }
+        while matches!(
+            self.byte(),
+            Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
+        ) {
+            self.pos += 1;
+        }
+        self.text[start..self.pos]
+            .parse::<f64>()
+            .map_err(|_| self.error("malformed number"))
+    }
+
+    /// Read the next value, whatever it is, as a tree.
+    pub fn value(&mut self) -> Result<Json, ParseError> {
+        match self.peek() {
+            Some(b'[') => {
+                self.begin_array()?;
+                let mut items = Vec::new();
+                while self.next_item()? {
+                    items.push(self.value()?);
+                }
+                Ok(Json::Array(items))
+            }
+            Some(b'{') => {
+                self.begin_object()?;
+                let mut map = BTreeMap::new();
+                while let Some(key) = self.next_key()? {
+                    let value = self.value()?;
+                    map.insert(key.into_owned(), value);
+                }
+                Ok(Json::Object(map))
+            }
+            Some(b'"') => Ok(Json::String(self.string()?.into_owned())),
+            _ => self.scalar(),
+        }
+    }
+
+    /// Validate the next value without building it or allocating, and
+    /// return its raw text. Nesting is held to [`MAX_DEPTH`] as everywhere.
+    pub fn skip(&mut self) -> Result<&'a str, ParseError> {
+        self.skip_ws();
+        let start = self.pos;
+        match self.byte() {
+            Some(b'[') => {
+                self.begin_array()?;
+                while self.next_item()? {
+                    self.skip()?;
+                }
+            }
+            Some(b'{') => {
+                self.begin_object()?;
+                while self.next_member(b'}')? {
+                    self.skip_string()?;
+                    self.colon()?;
+                    self.skip()?;
+                }
+            }
+            Some(b'"') => self.skip_string()?,
+            _ => {
+                self.scalar()?;
+            }
+        }
+        Ok(&self.text[start..self.pos])
+    }
+
+    /// End of the document: only whitespace may follow.
+    pub fn finish(mut self) -> Result<(), ParseError> {
+        self.skip_ws();
+        if self.pos == self.bytes.len() {
+            Ok(())
+        } else {
+            Err(self.error("trailing characters after the document"))
+        }
+    }
+
+    fn byte(&self) -> Option<u8> {
         self.bytes.get(self.pos).copied()
     }
 
     fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+        while matches!(self.byte(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
             self.pos += 1;
         }
     }
 
     fn expect(&mut self, b: u8) -> Result<(), ParseError> {
-        if self.peek() == Some(b) {
+        if self.byte() == Some(b) {
             self.pos += 1;
             Ok(())
         } else {
-            Err(self.err(&format!("expected '{}'", b as char)))
+            Err(self.error(&format!("expected '{}'", b as char)))
+        }
+    }
+
+    fn colon(&mut self) -> Result<(), ParseError> {
+        self.skip_ws();
+        self.expect(b':')
+    }
+
+    /// Open an array or object a level deeper, refusing to go past
+    /// [`MAX_DEPTH`].
+    fn open(&mut self, bracket: u8) -> Result<(), ParseError> {
+        self.skip_ws();
+        if self.byte() == Some(bracket) && self.depth == MAX_DEPTH {
+            return Err(self.error("nesting too deep"));
+        }
+        self.expect(bracket)?;
+        self.depth += 1;
+        self.first = true;
+        Ok(())
+    }
+
+    /// Consume the `,` before the next element, or the `close` bracket
+    /// after the last one.
+    fn next_member(&mut self, close: u8) -> Result<bool, ParseError> {
+        self.skip_ws();
+        let first = std::mem::replace(&mut self.first, false);
+        match self.byte() {
+            Some(b) if b == close => {
+                self.pos += 1;
+                self.depth -= 1;
+                Ok(false)
+            }
+            // the first element needs no comma; value readers reject junk
+            _ if first => Ok(true),
+            Some(b',') => {
+                self.pos += 1;
+                Ok(true)
+            }
+            _ => Err(self.error(&format!("expected ',' or '{}'", close as char))),
         }
     }
 
@@ -142,163 +337,95 @@ impl Parser<'_> {
             self.pos += lit.len();
             Ok(value)
         } else {
-            Err(self.err(&format!("expected '{lit}'")))
+            Err(self.error(&format!("expected '{lit}'")))
         }
     }
 
-    fn value(&mut self) -> Result<Json, ParseError> {
-        match self.peek() {
+    /// A `null`, `true`, `false` or number.
+    fn scalar(&mut self) -> Result<Json, ParseError> {
+        match self.byte() {
             Some(b'n') => self.literal("null", Json::Null),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'"') => self.string().map(Json::String),
-            Some(b'[') => self.nested(Self::array),
-            Some(b'{') => self.nested(Self::object),
-            Some(b'-' | b'0'..=b'9') => self.number(),
-            _ => Err(self.err("expected a JSON value")),
+            Some(b'-' | b'0'..=b'9') => self.number().map(Json::Number),
+            _ => Err(self.error("expected a JSON value")),
         }
     }
 
-    /// Parse one array or object a level deeper, refusing to go past
-    /// [`MAX_DEPTH`].
-    fn nested(
-        &mut self,
-        parse: fn(&mut Self) -> Result<Json, ParseError>,
-    ) -> Result<Json, ParseError> {
-        if self.depth == MAX_DEPTH {
-            return Err(self.err("nesting too deep"));
-        }
-        self.depth += 1;
-        let value = parse(self);
-        self.depth -= 1;
-        value
-    }
-
-    fn array(&mut self) -> Result<Json, ParseError> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
+    /// Advance over a run of string bytes that are not `"`, `\` or a
+    /// control byte. A run starts and stops next to ASCII bytes (or at the
+    /// end), so it is a valid `str` slice.
+    fn run(&mut self) {
+        while self
+            .byte()
+            .is_some_and(|b| b != b'"' && b != b'\\' && b >= 0x20)
+        {
             self.pos += 1;
-            return Ok(Json::Array(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Array(items));
-                }
-                _ => return Err(self.err("expected ',' or ']'")),
-            }
         }
     }
 
-    fn object(&mut self) -> Result<Json, ParseError> {
-        self.expect(b'{')?;
-        let mut map = BTreeMap::new();
+    fn skip_string(&mut self) -> Result<(), ParseError> {
         self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Object(map));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let value = self.value()?;
-            map.insert(key, value);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Object(map));
-                }
-                _ => return Err(self.err("expected ',' or '}'")),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, ParseError> {
         self.expect(b'"')?;
-        let mut out = String::new();
+        self.string_tail(None)
+    }
+
+    /// The rest of a string after its opening quote, unescaped into `out`
+    /// when one is given.
+    fn string_tail(&mut self, mut out: Option<&mut String>) -> Result<(), ParseError> {
         loop {
-            match self.peek() {
-                None => return Err(self.err("unterminated string")),
+            match self.byte() {
+                None => return Err(self.error("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
-                    return Ok(out);
+                    return Ok(());
                 }
                 Some(b'\\') => {
-                    self.pos += 1;
-                    let esc = self.peek().ok_or_else(|| self.err("dangling escape"))?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'b' => out.push('\u{0008}'),
-                        b'f' => out.push('\u{000C}'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let code = self.hex4()?;
-                            out.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
-                        }
-                        _ => return Err(self.err("unknown escape")),
+                    let c = self.escape()?;
+                    if let Some(out) = out.as_mut() {
+                        out.push(c);
                     }
                 }
-                Some(b) if b < 0x20 => return Err(self.err("raw control character in string")),
+                Some(b) if b < 0x20 => return Err(self.error("raw control character in string")),
                 Some(_) => {
-                    // copy the whole run up to the next quote, backslash or
-                    // control byte: it starts and stops next to ASCII bytes
-                    // (or at the end), so it is a valid `str` slice
                     let start = self.pos;
-                    while self
-                        .peek()
-                        .is_some_and(|b| b != b'"' && b != b'\\' && b >= 0x20)
-                    {
-                        self.pos += 1;
+                    self.run();
+                    if let Some(out) = out.as_mut() {
+                        out.push_str(&self.text[start..self.pos]);
                     }
-                    out.push_str(&self.text[start..self.pos]);
                 }
             }
         }
+    }
+
+    /// Decode the escape sequence at the reader's backslash.
+    fn escape(&mut self) -> Result<char, ParseError> {
+        self.pos += 1;
+        let esc = self.byte().ok_or_else(|| self.error("dangling escape"))?;
+        self.pos += 1;
+        Ok(match esc {
+            b'"' => '"',
+            b'\\' => '\\',
+            b'/' => '/',
+            b'b' => '\u{0008}',
+            b'f' => '\u{000C}',
+            b'n' => '\n',
+            b'r' => '\r',
+            b't' => '\t',
+            b'u' => char::from_u32(self.hex4()?).unwrap_or('\u{FFFD}'),
+            _ => return Err(self.error("unknown escape")),
+        })
     }
 
     fn hex4(&mut self) -> Result<u32, ParseError> {
         if self.pos + 4 > self.bytes.len() {
-            return Err(self.err("truncated \\u escape"));
+            return Err(self.error("truncated \\u escape"));
         }
         let hex = std::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
-            .map_err(|_| self.err("non-ASCII in \\u escape"))?;
-        let code = u32::from_str_radix(hex, 16).map_err(|_| self.err("bad \\u escape"))?;
+            .map_err(|_| self.error("non-ASCII in \\u escape"))?;
+        let code = u32::from_str_radix(hex, 16).map_err(|_| self.error("bad \\u escape"))?;
         self.pos += 4;
         Ok(code)
-    }
-
-    fn number(&mut self) -> Result<Json, ParseError> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while matches!(
-            self.peek(),
-            Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
-        ) {
-            self.pos += 1;
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ASCII digits");
-        text.parse::<f64>()
-            .map(Json::Number)
-            .map_err(|_| self.err("malformed number"))
     }
 }
 
@@ -414,6 +541,79 @@ mod tests {
         let v = Json::parse(&good).unwrap();
         let cell = &v.get("results").unwrap().as_array().unwrap()[0];
         assert_eq!(cell.get("mean_ns").unwrap().as_f64(), Some(6_404_000.0));
+    }
+
+    #[test]
+    fn reader_pulls_members_and_borrows_escape_free_strings() {
+        let doc = r#" {"rows": {"T": [["a", -2], ["b\"c", 1e3]]}, "k": [1, {"x": null}]} "#;
+        let mut r = Reader::new(doc);
+        r.begin_object().unwrap();
+        assert_eq!(r.next_key().unwrap().as_deref(), Some("rows"));
+        r.begin_object().unwrap();
+        assert_eq!(r.next_key().unwrap().as_deref(), Some("T"));
+        r.begin_array().unwrap();
+        let mut cells = Vec::new();
+        while r.next_item().unwrap() {
+            r.begin_array().unwrap();
+            assert!(r.next_item().unwrap());
+            cells.push(r.string().unwrap());
+            assert!(r.next_item().unwrap());
+            assert_eq!(r.peek(), Some(if cells.len() == 1 { b'-' } else { b'1' }));
+            r.number().unwrap();
+            assert!(!r.next_item().unwrap());
+        }
+        assert!(
+            matches!(cells[0], Cow::Borrowed("a")),
+            "no escape: borrowed"
+        );
+        assert!(
+            matches!(&cells[1], Cow::Owned(s) if s == "b\"c"),
+            "escape: owned"
+        );
+        assert_eq!(r.next_key().unwrap(), None);
+        assert_eq!(r.next_key().unwrap().as_deref(), Some("k"));
+        assert_eq!(r.skip().unwrap(), r#"[1, {"x": null}]"#);
+        assert_eq!(r.next_key().unwrap(), None);
+        r.finish().unwrap();
+    }
+
+    #[test]
+    fn skip_validates_what_it_passes_over() {
+        for (doc, span) in [
+            (r#""a\u00e9\n""#, r#""a\u00e9\n""#),
+            (" [1, [true, false], {}] ", "[1, [true, false], {}]"),
+            (r#"{"a": {"b": []}}"#, r#"{"a": {"b": []}}"#),
+            ("-0.5e3", "-0.5e3"),
+        ] {
+            assert_eq!(Reader::new(doc).skip().unwrap(), span, "{doc:?}");
+        }
+        for (bad, message) in [
+            ("[1,]", "expected a JSON value"),
+            ("{\"a\" 1}", "expected ':'"),
+            ("[1 2]", "expected ',' or ']'"),
+            ("{\"a\":1,}", "expected '\"'"),
+            ("\"\\q\"", "unknown escape"),
+            ("\"a\tb\"", "raw control character in string"),
+            ("nul", "expected 'null'"),
+        ] {
+            let err = Reader::new(bad).skip().unwrap_err();
+            assert_eq!(err.message, message, "{bad:?}");
+        }
+        // a value followed by junk is caught by finish, not skip
+        let mut r = Reader::new("[] x");
+        assert_eq!(r.skip().unwrap(), "[]");
+        assert!(r.finish().is_err());
+    }
+
+    #[test]
+    fn skip_holds_the_depth_limit() {
+        let err = Reader::new(&"[".repeat(10_000)).skip().unwrap_err();
+        assert_eq!(err.message, "nesting too deep");
+        assert_eq!(err.at, MAX_DEPTH);
+        let err = Reader::new(&r#"{"a":"#.repeat(10_000)).skip().unwrap_err();
+        assert_eq!(err.message, "nesting too deep");
+        let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert_eq!(Reader::new(&ok).skip().unwrap(), ok);
     }
 
     #[test]

@@ -61,6 +61,25 @@ if grep -rnwE 'constrained|ConstraintSet|naive_enumeration|FlowNetwork|max_flow|
   exit 1
 fi
 
+echo "== DESIGN.md §4 crate map matches the source tree =="
+# each row of the §4 table names a directory and, backticked, every .rs
+# file under it but lib.rs; every crate's src directory needs a row
+crate_map="$(sed -n '/^## 4\. /,/^## 5\. /p' DESIGN.md)"
+map_dirs="$(grep -oE '^\| `[^`]+` \|' <<<"$crate_map" | tr -d '|` ')"
+for dir in crates/*/src; do
+  grep -qx "$dir" <<<"$map_dirs" \
+    || { echo "DESIGN.md §4 has no row for $dir" >&2; exit 1; }
+done
+for dir in $map_dirs; do
+  [ -d "$dir" ] || { echo "DESIGN.md §4 names a missing directory: $dir" >&2; exit 1; }
+  on_disk="$(cd "$dir" && find . -name '*.rs' ! -name lib.rs | sed 's|^\./||; s|\.rs$||' | sort)"
+  row="$(grep -F "| \`$dir\` |" <<<"$crate_map")"
+  in_map="$(sed 's/^| `[^`]*` |//' <<<"$row" | grep -oE '`[^`]+`' | tr -d '`' | sort)"
+  diff -u <(echo "$in_map") <(echo "$on_disk") \
+    || { echo "DESIGN.md §4 row for $dir differs from the files on disk (diff above: - map, + disk)" >&2; exit 1; }
+done
+echo "crate map matches the source tree: OK"
+
 echo "== cargo test -q --workspace =="
 cargo test -q --workspace
 
@@ -540,12 +559,12 @@ echo "qoco-serve kill -9 / rehydrate reproduces the uninterrupted report: OK"
 
 echo "== qoco-serve torn create: a leftover staging dir does not block restart =="
 # a create killed mid-write leaves only its staging dir (here holding just
-# spec.txt); the server must start over it, list the real sessions and
+# spec.json); the server must start over it, list the real sessions and
 # delete the leftover
 torn_store="$work/torn-store"
 cp -r "$serve_store" "$torn_store"
 mkdir "$torn_store/.s99.staging"
-cp "$torn_store/s1/spec.txt" "$torn_store/.s99.staging/spec.txt"
+cp "$torn_store/s1/spec.json" "$torn_store/.s99.staging/spec.json"
 : > "$serve_log"
 ./target/release/qoco-serve serve --addr 127.0.0.1:0 --store "$torn_store" \
   > "$serve_log" 2>/dev/null &

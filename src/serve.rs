@@ -36,6 +36,18 @@
 //! report stays fetchable. The registry also bounds the number of live
 //! parked sessions, shedding creation with `429` beyond the cap.
 //!
+//! ## The create path
+//!
+//! `POST /sessions` does each job once. [`decode_spec`] (in `qoco-core`,
+//! next to the store) streams the body into a
+//! [`SessionSpec`](qoco_core::SessionSpec): inline rows go cell by cell
+//! into the database, with no JSON tree. The store then writes the spec
+//! back out with `spec_json` as the session's `spec.json`, a valid
+//! `POST /sessions` body, so the wire and the disk share one format and
+//! one decoder. Last, [`SessionMachine::new`] starts the cleaner. The
+//! `serve.decode_spec` (fields `bytes`, `rows`) and `store.create` spans
+//! split a traced create into those steps.
+//!
 //! `sessions.active` / `sessions.parked` gauges and the
 //! `sessions.reaped` / `serve.rejected` / `journal.write_errors` counters
 //! make all of the above observable on `/metrics` and `/health`.
@@ -45,15 +57,14 @@ use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use qoco_core::{
-    deletion_from_str, split_from_str, CleaningConfig, SessionMachine, SessionSpec, SessionState,
-    SessionStore, SubmitError, SubmitOutcome,
+    decode_spec, SessionMachine, SessionState, SessionStore, SubmitError, SubmitOutcome,
 };
 use qoco_crowd::{
     parse_tagged_value, tagged_value, Answer, OracleError, PendingQuestion, Question,
 };
-use qoco_data::{Database, Fact, Schema, TextInterner, Tuple, Value};
+use qoco_data::{Fact, Schema, Tuple, Value};
 use qoco_engine::Assignment;
-use qoco_query::{parse_query, Var};
+use qoco_query::Var;
 use qoco_telemetry::json::{push_json_str, Json};
 use qoco_telemetry::{HttpRequest, HttpResponse, RouteHandler};
 
@@ -176,14 +187,6 @@ fn error_body(message: &str) -> String {
 // ---------------------------------------------------------------------------
 // JSON request decoding
 
-fn json_value_to_value(v: &Json, interner: &mut TextInterner) -> Result<Value, String> {
-    match v {
-        Json::String(s) => Ok(interner.text(s)),
-        Json::Number(n) if n.fract() == 0.0 && n.abs() < 9e15 => Ok(Value::int(*n as i64)),
-        other => Err(format!("expected a string or integer cell, got {other:?}")),
-    }
-}
-
 /// Parse a `["s:GER","i:1990"]` tagged-value array into a tuple.
 fn tagged_tuple(v: &Json) -> Result<Tuple, String> {
     let items = v.as_array().ok_or("expected a tuple array")?;
@@ -261,92 +264,6 @@ pub fn encode_answer(seq: u64, answer: &Answer) -> String {
     }
     out.push('}');
     out
-}
-
-/// Decode the `POST /sessions` body into a spec: either a named example
-/// or an inline schema + rows + query.
-fn decode_spec(body: &Json) -> Result<SessionSpec, String> {
-    let mut spec = if let Some(example) = body.get("example") {
-        match example.as_str() {
-            Some("figure1") => figure1_spec(),
-            Some(other) => return Err(format!("unknown example {other:?} (try \"figure1\")")),
-            None => return Err("`example` must be a string".to_string()),
-        }
-    } else {
-        let schema_json = body
-            .get("schema")
-            .and_then(Json::as_array)
-            .ok_or("`schema` must be an array of {name, attrs} relations")?;
-        let mut builder = Schema::builder();
-        for rel in schema_json {
-            let name = rel
-                .get("name")
-                .and_then(Json::as_str)
-                .ok_or("each relation needs a string `name`")?;
-            let attrs: Vec<&str> = rel
-                .get("attrs")
-                .and_then(Json::as_array)
-                .ok_or("each relation needs an `attrs` array")?
-                .iter()
-                .map(|a| a.as_str().ok_or("attrs must be strings"))
-                .collect::<Result<_, _>>()?;
-            builder = builder.relation(name, &attrs);
-        }
-        let schema = builder.build().map_err(|e| e.to_string())?;
-        let mut dirty = Database::empty(schema.clone());
-        // one interner for the whole spec: a repeated cell shares one payload
-        let mut interner = TextInterner::new();
-        if let Some(Json::Object(rows)) = body.get("rows") {
-            for (rel, tuples) in rows {
-                let tuples = tuples
-                    .as_array()
-                    .ok_or_else(|| format!("rows for {rel} must be an array"))?;
-                if tuples.is_empty() {
-                    continue;
-                }
-                let rel = schema.rel_id(rel).map_err(|e| e.to_string())?;
-                dirty.relation_mut(rel).reserve(tuples.len());
-                for t in tuples {
-                    let cells = t
-                        .as_array()
-                        .ok_or("each row must be an array of cells")?
-                        .iter()
-                        .map(|cell| json_value_to_value(cell, &mut interner))
-                        .collect::<Result<Vec<_>, _>>()?;
-                    dirty
-                        .insert(Fact::new(rel, Tuple::new(cells)))
-                        .map_err(|e| e.to_string())?;
-                }
-            }
-        }
-        let query_text = body
-            .get("query")
-            .and_then(Json::as_str)
-            .ok_or("`query` must be a datalog string")?;
-        let query = parse_query(dirty.schema(), query_text).map_err(|e| e.to_string())?;
-        SessionSpec {
-            query,
-            dirty,
-            config: CleaningConfig::default(),
-            deadline_ms: None,
-        }
-    };
-    if let Some(d) = body.get("deletion") {
-        let tag = d.as_str().ok_or("`deletion` must be a string")?;
-        spec.config.deletion = deletion_from_str(tag)?;
-    }
-    if let Some(s) = body.get("split") {
-        let tag = s.as_str().ok_or("`split` must be a string")?;
-        spec.config.split = split_from_str(tag)?;
-    }
-    if let Some(ms) = body.get("deadline_ms") {
-        let ms = ms
-            .as_f64()
-            .filter(|v| v.fract() == 0.0 && *v > 0.0)
-            .ok_or("`deadline_ms` must be a positive integer")?;
-        spec.deadline_ms = Some(ms as u64);
-    }
-    Ok(spec)
 }
 
 // ---------------------------------------------------------------------------
@@ -500,16 +417,13 @@ impl SessionRegistry {
                 return HttpResponse::json("400 Bad Request", error_body("body is not UTF-8"))
             }
         };
-        let json = match Json::parse(text) {
-            Ok(j) => j,
-            Err(e) => {
-                return HttpResponse::json("400 Bad Request", error_body(&format!("bad JSON: {e}")))
-            }
-        };
-        let spec = match decode_spec(&json) {
+        let mut span = qoco_telemetry::span("serve.decode_spec").field("bytes", text.len());
+        let spec = match decode_spec(text) {
             Ok(s) => s,
             Err(e) => return HttpResponse::json("400 Bad Request", error_body(&e)),
         };
+        span.record("rows", spec.dirty.len());
+        span.finish();
         let mut sessions = self.lock();
         let live_count = sessions
             .values()
@@ -1083,10 +997,10 @@ mod tests {
         let reg = SessionRegistry::open(store, ServeOptions::default()).unwrap();
         post(&reg, "/sessions", "{\"example\":\"figure1\"}");
         drop(reg);
-        // a create killed after writing spec.txt, before the journal
+        // a create killed after writing spec.json, before the journal
         let torn = root.join(".s2.staging");
         std::fs::create_dir_all(&torn).unwrap();
-        std::fs::copy(root.join("s1").join("spec.txt"), torn.join("spec.txt")).unwrap();
+        std::fs::copy(root.join("s1").join("spec.json"), torn.join("spec.json")).unwrap();
 
         let reg =
             SessionRegistry::open(SessionStore::open(&root).unwrap(), ServeOptions::default())
@@ -1166,6 +1080,73 @@ mod tests {
         let resp = get(&reg, "/sessions/s1/report");
         assert_eq!(resp.status, "200 OK", "{}", resp.body);
         assert!(resp.body.contains("\"partial\":true"), "{}", resp.body);
+        std::fs::remove_dir_all(reg.store.root()).ok();
+    }
+
+    const TEAMS_SCHEMA: &str = r#""schema":[{"name":"Teams","attrs":["country","continent"]}],
+        "query":"Q(x) :- Teams(x, \"EU\")""#;
+
+    #[test]
+    fn a_relation_named_twice_in_rows_is_rejected_not_truncated() {
+        let reg = SessionRegistry::open(tmp_store("dup-rows"), ServeOptions::default()).unwrap();
+        let body = format!(
+            r#"{{{TEAMS_SCHEMA},"rows":{{"Teams":[["BRA","EU"]],"Teams":[["ITA","EU"]]}}}}"#
+        );
+        let resp = post(&reg, "/sessions", &body);
+        assert_eq!(resp.status, "400 Bad Request", "{}", resp.body);
+        assert!(
+            resp.body.contains("rows for Teams appear twice"),
+            "{}",
+            resp.body
+        );
+        assert_eq!(reg.active(), 0);
+        std::fs::remove_dir_all(reg.store.root()).ok();
+    }
+
+    #[test]
+    fn rows_nested_past_the_depth_limit_get_a_400() {
+        let reg = SessionRegistry::open(tmp_store("deep-rows"), ServeOptions::default()).unwrap();
+        let deep = "[".repeat(10_000);
+        for body in [
+            format!(r#"{{"rows":{deep}"#),
+            format!(r#"{{{TEAMS_SCHEMA},"rows":{{"Teams":{deep}"#),
+        ] {
+            let resp = post(&reg, "/sessions", &body);
+            assert_eq!(resp.status, "400 Bad Request", "{}", resp.body);
+            assert!(resp.body.contains("nesting too deep"), "{}", resp.body);
+        }
+        std::fs::remove_dir_all(reg.store.root()).ok();
+    }
+
+    #[test]
+    fn a_traced_create_records_decode_and_store_spans_once() {
+        use qoco_telemetry::InMemoryCollector;
+        let reg = SessionRegistry::open(tmp_store("spans"), ServeOptions::default()).unwrap();
+        let body = format!(r#"{{{TEAMS_SCHEMA},"rows":{{"Teams":[["BRA","EU"],["ITA","EU"]]}}}}"#);
+        let collector = std::sync::Arc::new(InMemoryCollector::new());
+        let guard = qoco_telemetry::session(collector.clone());
+        // other tests may create sessions meanwhile: count only the spans
+        // opened under this one
+        let root = qoco_telemetry::span("test.create");
+        let root_id = qoco_telemetry::current_span_id().expect("tracing is on");
+        let resp = post(&reg, "/sessions", &body);
+        drop(root);
+        drop(guard);
+        assert_eq!(resp.status, "201 Created", "{}", resp.body);
+        let spans: Vec<_> = collector
+            .spans()
+            .into_iter()
+            .filter(|s| s.parent == Some(root_id))
+            .collect();
+        let named = |name: &str| spans.iter().filter(|s| s.name == name).collect::<Vec<_>>();
+        let decode = named("serve.decode_spec");
+        assert_eq!(decode.len(), 1, "{spans:?}");
+        assert_eq!(
+            decode[0].field("bytes"),
+            Some(body.len().to_string().as_str())
+        );
+        assert_eq!(decode[0].field("rows"), Some("2"));
+        assert_eq!(named("store.create").len(), 1, "{spans:?}");
         std::fs::remove_dir_all(reg.store.root()).ok();
     }
 

@@ -1,8 +1,9 @@
 //! Boundary robustness: every text parser at the system's edge — journal
-//! lines, alert rules, queries, decision lines, fault specs, tagged values
-//! and folded profiles — returns `Ok` or `Err` on mutants of valid inputs,
-//! and never panics. A query that parses must also survive `display()` and
-//! a second parse unchanged.
+//! lines, alert rules, queries, session specs, decision lines, fault specs,
+//! tagged values and folded profiles — returns `Ok` or `Err` on mutants of
+//! valid inputs, and never panics. A query that parses must also survive
+//! `display()` and a second parse unchanged, and an accepted session spec
+//! must survive `spec_json` and a second decode unchanged.
 //!
 //! The mutants are deterministic: every prefix and suffix, every
 //! one-character deletion, and the insertion of each [`INSERTS`] token at
@@ -10,6 +11,7 @@
 
 use std::sync::Arc;
 
+use qoco::core::{decode_spec, spec_json};
 use qoco::crowd::{parse_tagged_value, FaultPlan, Journal, JournalRecord};
 use qoco::data::Schema;
 use qoco::query::parse_query;
@@ -133,6 +135,31 @@ fn query_parser_never_panics_and_accepted_queries_round_trip() {
             true
         },
     );
+}
+
+#[test]
+fn session_spec_decoder_never_panics_and_accepted_specs_round_trip() {
+    let accepted = fuzz(
+        &[
+            r#"{"schema":[{"name":"Teams","attrs":["country","continent"]}],"rows":{"Teams":[["GER","EU"],["a\"b\\c\t",-7]]},"query":"Q(x) :- Teams(x, \"EU\")","deletion":"qoco-","split":"mincut","deadline_ms":60000}"#,
+            r#"{"example":"figure1"}"#,
+        ],
+        |body| {
+            let Ok(spec) = decode_spec(body) else {
+                return false;
+            };
+            let rendered = spec_json(&spec)
+                .unwrap_or_else(|e| panic!("{body:?} decoded but does not render: {e}"));
+            let again = decode_spec(&rendered)
+                .unwrap_or_else(|e| panic!("{body:?} rendered as {rendered:?}, which fails: {e}"));
+            assert_eq!(spec_json(&again).as_ref(), Ok(&rendered), "{body:?}");
+            true
+        },
+    );
+    assert!(accepted > 2);
+    let deep = format!(r#"{{"rows":{}}}"#, "[".repeat(10_000));
+    let err = decode_spec(&deep).err().expect("deep rows rejected");
+    assert!(err.contains("nesting too deep"), "{err}");
 }
 
 #[test]
