@@ -615,10 +615,9 @@ pub fn ablation_heuristics(ex: &Experiments) -> Table {
     // with noise so the signal is imperfect
     let mut trust: HashMap<Fact, f64> = HashMap::new();
     {
-        let d = planted.db.clone();
         let mut h = 0.0f64;
         for w in &planted.wrong {
-            for set in witnesses_for_answer(q, &d, w) {
+            for set in witnesses_for_answer(q, &planted.db, w) {
                 for f in set {
                     h = (h * 7.13 + 0.37).fract();
                     let base = if ex.ground.contains(&f) { 0.75 } else { 0.25 };
@@ -725,10 +724,8 @@ pub fn sweep_error_rate(ex: &Experiments) -> Table {
     );
     let q = ex.q(3);
     let planted = plant_mixed(q, &ex.ground, 3, 3, 44);
-    let truth: std::collections::BTreeSet<qoco_data::Tuple> = {
-        let gm = ex.ground.clone();
-        answer_set(q, &gm).into_iter().collect()
-    };
+    let truth: std::collections::BTreeSet<qoco_data::Tuple> =
+        answer_set(q, &ex.ground).into_iter().collect();
     for pct in [0u32, 5, 10, 20, 30] {
         let mut answers_sum = 0usize;
         let mut iter_sum = 0usize;
@@ -751,10 +748,8 @@ pub fn sweep_error_rate(ex: &Experiments) -> Table {
                 ..Default::default()
             };
             if let Ok(report) = clean_view(q, &mut d, &mut crowd, config) {
-                let now: std::collections::BTreeSet<qoco_data::Tuple> = {
-                    let dm = d.clone();
-                    answer_set(q, &dm).into_iter().collect()
-                };
+                let now: std::collections::BTreeSet<qoco_data::Tuple> =
+                    answer_set(q, &d).into_iter().collect();
                 answers_sum += report.total_stats.total_cost();
                 iter_sum += report.iterations;
                 if now == truth {

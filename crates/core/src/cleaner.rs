@@ -460,10 +460,7 @@ mod tests {
     #[test]
     fn converges_to_the_true_result() {
         let (_, mut d, g, q) = setup();
-        let true_answers = {
-            let gm = g.clone();
-            answer_set(&q, &gm)
-        };
+        let true_answers = answer_set(&q, &g);
         let mut crowd = SingleExpert::new(PerfectOracle::new(g.clone()));
         let report = clean_view(&q, &mut d, &mut crowd, CleaningConfig::default()).unwrap();
         assert_eq!(answer_set(&q, &d), true_answers);
@@ -524,10 +521,7 @@ mod tests {
         assert!(answer_set(&q, &d).is_empty());
         let mut crowd = SingleExpert::new(PerfectOracle::new(g.clone()));
         let report = clean_view(&q, &mut d, &mut crowd, CleaningConfig::default()).unwrap();
-        let true_answers = {
-            let gm = g.clone();
-            answer_set(&q, &gm)
-        };
+        let true_answers = answer_set(&q, &g);
         assert_eq!(answer_set(&q, &d), true_answers);
         assert!(report.missing_answers >= 1);
     }
@@ -560,10 +554,7 @@ mod tests {
             (DeletionStrategy::Random(3), SplitStrategyKind::Random(3)),
             (DeletionStrategy::Qoco, SplitStrategyKind::Naive),
         ];
-        let true_answers = {
-            let gm = g.clone();
-            answer_set(&q, &gm)
-        };
+        let true_answers = answer_set(&q, &g);
         for (deletion, split) in strategies {
             let mut di = d.clone();
             let mut crowd = SingleExpert::new(PerfectOracle::new(g.clone()));

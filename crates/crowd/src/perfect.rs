@@ -4,9 +4,18 @@
 //! oracle, namely an implemented oracle that consults with the ground truth
 //! Soccer database" (Section 7.2) — and the paper reports that real perfect
 //! experts gave results identical to it.
+//!
+//! Cost model: a closed question is one probe of `D_G`. `TRUE(Q, t)?`
+//! seeds the head variables with `t` and stops at the first witness, so it
+//! never evaluates all of `Q(D_G)`. Only `COMPL(Q(D))` needs the full answer
+//! set, and it is computed once per query and kept: `D_G` is private and
+//! never changes, so the memo cannot go stale.
 
-use qoco_data::Database;
-use qoco_engine::{all_assignments, answer_set, is_satisfiable, EvalOptions};
+use std::collections::HashSet;
+
+use qoco_data::{Database, Tuple};
+use qoco_engine::{all_assignments, answer_set, is_satisfiable, Assignment, EvalOptions};
+use qoco_query::ConjunctiveQuery;
 
 use crate::fault::OracleError;
 use crate::oracle::Oracle;
@@ -16,15 +25,14 @@ use crate::question::{Answer, Question};
 pub struct PerfectOracle {
     ground: Database,
     label: String,
+    /// The sorted `Q(D_G)` of every query asked `COMPL(Q(D))` so far.
+    answer_sets: Vec<(ConjunctiveQuery, Vec<Tuple>)>,
 }
 
 impl PerfectOracle {
     /// Build a perfect oracle over `ground`.
     pub fn new(ground: Database) -> Self {
-        PerfectOracle {
-            ground,
-            label: "perfect-oracle".to_string(),
-        }
+        PerfectOracle::with_label(ground, "perfect-oracle")
     }
 
     /// Build with a custom label.
@@ -32,13 +40,22 @@ impl PerfectOracle {
         PerfectOracle {
             ground,
             label: label.into(),
+            answer_sets: Vec::new(),
         }
     }
 
-    /// Read access to the ground truth (used by tests and the ground-truth
-    /// enumeration black-box).
-    pub fn ground(&self) -> &Database {
-        &self.ground
+    /// `Q(D_G)`, sorted: evaluated on the first call for `q`, then read
+    /// from the memo.
+    pub(crate) fn answer_set(&mut self, q: &ConjunctiveQuery) -> &[Tuple] {
+        let i = match self.answer_sets.iter().position(|(k, _)| k == q) {
+            Some(i) => i,
+            None => {
+                let answers = answer_set(q, &self.ground);
+                self.answer_sets.push((q.clone(), answers));
+                self.answer_sets.len() - 1
+            }
+        };
+        &self.answer_sets[i].1
     }
 }
 
@@ -49,10 +66,10 @@ impl Oracle for PerfectOracle {
             Question::VerifyAllFacts(facts) => {
                 Answer::Bool(facts.iter().all(|f| self.ground.contains(f)))
             }
-            Question::VerifyAnswer { query, answer } => {
-                let answers = answer_set(query, &self.ground);
-                Answer::Bool(answers.contains(answer))
-            }
+            Question::VerifyAnswer { query, answer } => Answer::Bool(
+                Assignment::from_answer(query, answer)
+                    .is_some_and(|seed| is_satisfiable(query, &self.ground, &seed)),
+            ),
             Question::VerifySatisfiable { query, partial } => {
                 Answer::Bool(is_satisfiable(query, &self.ground, partial))
             }
@@ -63,8 +80,12 @@ impl Oracle for PerfectOracle {
                 Answer::Completion(res.assignments.into_iter().next())
             }
             Question::CompleteResult { query, known } => {
-                let answers = answer_set(query, &self.ground);
-                let missing = answers.into_iter().find(|t| !known.contains(t));
+                let known: HashSet<&Tuple> = known.iter().collect();
+                let missing = self
+                    .answer_set(query)
+                    .iter()
+                    .find(|t| !known.contains(t))
+                    .cloned();
                 Answer::MissingAnswer(missing)
             }
         })
@@ -79,7 +100,6 @@ impl Oracle for PerfectOracle {
 mod tests {
     use super::*;
     use qoco_data::{tup, Fact, Schema};
-    use qoco_engine::Assignment;
     use qoco_query::parse_query;
 
     fn ground() -> Database {

@@ -15,7 +15,6 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use qoco_data::Database;
-use qoco_engine::answer_set;
 
 use crate::fault::OracleError;
 use crate::oracle::Oracle;
@@ -51,7 +50,7 @@ impl Oracle for SamplingOracle {
             Question::CompleteResult { query, .. } => {
                 // sample from the full true answer set, ignoring `known` —
                 // a worker names an answer they know, possibly a duplicate
-                let answers = answer_set(query, self.inner.ground());
+                let answers = self.inner.answer_set(query);
                 if answers.is_empty() {
                     return Ok(Answer::MissingAnswer(None));
                 }
@@ -110,8 +109,7 @@ mod tests {
             seen.values().any(|&c| c > 1),
             "100 draws over 5 answers must repeat"
         );
-        let gm = g.clone();
-        let truth = answer_set(&q, &gm);
+        let truth = qoco_engine::answer_set(&q, &g);
         assert!(seen.keys().all(|t| truth.contains(t)));
     }
 

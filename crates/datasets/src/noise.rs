@@ -160,10 +160,7 @@ pub fn plant_wrong_answers_excluding(
 ) -> PlantOutcome {
     let mut db = ground.clone();
     let mut rng = StdRng::seed_from_u64(seed);
-    let templates = {
-        let gm = ground.clone();
-        qoco_engine::evaluate(q, &gm).assignments
-    };
+    let templates = qoco_engine::evaluate(q, ground).assignments;
     assert!(
         !templates.is_empty(),
         "query {} has no ground-truth assignments to clone witnesses from",
@@ -186,10 +183,7 @@ pub fn plant_wrong_answers_excluding(
         var_domains.push((v.clone(), dom.into_iter().collect()));
     }
 
-    let truth: BTreeSet<Tuple> = {
-        let gm = ground.clone();
-        answer_set(q, &gm).into_iter().collect()
-    };
+    let truth: BTreeSet<Tuple> = answer_set(q, ground).into_iter().collect();
     let mut planted: BTreeSet<Tuple> = BTreeSet::new();
     let mut wrong = Vec::with_capacity(k);
 
@@ -249,15 +243,12 @@ pub fn plant_wrong_answers_excluding(
             // (Example 4.6: Teams(ESP, EU) true, extra finals false).
             let n_atoms = q_v.atoms().len();
             let mut sat_atoms: Vec<usize> = Vec::new();
-            {
-                let gm = ground.clone();
-                for a in 0..n_atoms {
-                    let mut trial = sat_atoms.clone();
-                    trial.push(a);
-                    if let Ok(sub) = qoco_query::split_subset(&q_v, &trial) {
-                        if qoco_engine::is_satisfiable(&sub, &gm, &qoco_engine::Assignment::new()) {
-                            sat_atoms = trial;
-                        }
+            for a in 0..n_atoms {
+                let mut trial = sat_atoms.clone();
+                trial.push(a);
+                if let Ok(sub) = qoco_query::split_subset(&q_v, &trial) {
+                    if qoco_engine::is_satisfiable(&sub, ground, &qoco_engine::Assignment::new()) {
+                        sat_atoms = trial;
                     }
                 }
             }
@@ -281,10 +272,9 @@ pub fn plant_wrong_answers_excluding(
             } else {
                 let sub = qoco_query::split_subset(&q_v, &sat_atoms)
                     .expect("sat_atoms indexes are valid");
-                let gm = ground.clone();
                 qoco_engine::all_assignments(
                     &sub,
-                    &gm,
+                    ground,
                     &qoco_engine::Assignment::new(),
                     qoco_engine::EvalOptions {
                         max_assignments: witnesses_per_answer.max(1) * 4,
@@ -386,13 +376,13 @@ pub fn plant_missing_answers(
 ) -> PlantOutcome {
     let mut db = ground.clone();
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut answers = answer_set(q, &db);
+    let mut answers = answer_set(q, ground);
+    let mut expected: BTreeSet<Tuple> = answers.iter().cloned().collect();
     // shuffle deterministically so different seeds kill different answers
     for i in (1..answers.len()).rev() {
         answers.swap(i, rng.random_range(0..=i));
     }
     let mut missing = Vec::new();
-    let mut expected: BTreeSet<Tuple> = answer_set(q, &db).into_iter().collect();
     for t in answers {
         if missing.len() >= k {
             break;
@@ -554,10 +544,8 @@ mod tests {
         for (qi, k) in [(1usize, 3usize), (3, 5)] {
             let q = soccer_query(g.schema(), qi);
             let outcome = plant_wrong_answers(&q, &g, k, 2, 17);
-            let d = outcome.db.clone();
-            let gm = g.clone();
-            let dirty: BTreeSet<Tuple> = answer_set(&q, &d).into_iter().collect();
-            let truth: BTreeSet<Tuple> = answer_set(&q, &gm).into_iter().collect();
+            let dirty: BTreeSet<Tuple> = answer_set(&q, &outcome.db).into_iter().collect();
+            let truth: BTreeSet<Tuple> = answer_set(&q, &g).into_iter().collect();
             let extra: Vec<&Tuple> = dirty.difference(&truth).collect();
             assert_eq!(extra.len(), k, "Q{qi}: wrong answers planted");
             assert_eq!(outcome.wrong.len(), k);
@@ -572,13 +560,12 @@ mod tests {
         let g = ground();
         let q = soccer_query(g.schema(), 3);
         let outcome = plant_wrong_answers(&q, &g, 2, 3, 23);
-        let d = outcome.db.clone();
         for w in &outcome.wrong {
             // fabricated facts cross-combine (any fabricated game joins any
             // compatible Teams fact), so the requested count is a lower
             // bound on the combinatorial witness count — exactly as the
             // paper's ESP example turns 3 false finals into 6 witnesses.
-            let n = qoco_engine::witnesses_for_answer(&q, &d, w).len();
+            let n = qoco_engine::witnesses_for_answer(&q, &outcome.db, w).len();
             assert!(n >= 1, "planted answer must have a witness");
             assert!(n <= 100, "witness count {n} exploded");
         }
@@ -591,10 +578,8 @@ mod tests {
             let q = soccer_query(g.schema(), qi);
             let outcome = plant_missing_answers(&q, &g, k, 31);
             assert_eq!(outcome.missing.len(), k, "Q{qi}");
-            let d = outcome.db.clone();
-            let gm = g.clone();
-            let dirty: BTreeSet<Tuple> = answer_set(&q, &d).into_iter().collect();
-            let truth: BTreeSet<Tuple> = answer_set(&q, &gm).into_iter().collect();
+            let dirty: BTreeSet<Tuple> = answer_set(&q, &outcome.db).into_iter().collect();
+            let truth: BTreeSet<Tuple> = answer_set(&q, &g).into_iter().collect();
             let missing: Vec<Tuple> = truth.difference(&dirty).cloned().collect();
             assert_eq!(
                 missing, outcome.missing,
@@ -622,10 +607,8 @@ mod tests {
         let outcome = plant_mixed(&q, &g, 3, 2, 12);
         assert_eq!(outcome.wrong.len(), 3);
         assert_eq!(outcome.missing.len(), 2);
-        let d = outcome.db.clone();
-        let gm = g.clone();
-        let dirty: BTreeSet<Tuple> = answer_set(&q, &d).into_iter().collect();
-        let truth: BTreeSet<Tuple> = answer_set(&q, &gm).into_iter().collect();
+        let dirty: BTreeSet<Tuple> = answer_set(&q, &outcome.db).into_iter().collect();
+        let truth: BTreeSet<Tuple> = answer_set(&q, &g).into_iter().collect();
         for w in &outcome.wrong {
             assert!(dirty.contains(w) && !truth.contains(w));
         }

@@ -85,20 +85,6 @@ pub struct EvalResult {
     pub truncated: bool,
 }
 
-impl EvalResult {
-    /// The distinct answers `Q(D) = ∪ α(head(Q))`, sorted.
-    pub fn answers(&self, q: &ConjunctiveQuery) -> Vec<Tuple> {
-        let mut out: Vec<Tuple> = self
-            .assignments
-            .iter()
-            .map(|a| a.ground_head(q).expect("valid assignments are total"))
-            .collect();
-        out.sort();
-        out.dedup();
-        out
-    }
-}
-
 /// How one column of a plan step's atom matches a candidate tuple.
 #[derive(Debug, Clone, Copy)]
 enum Col<'a> {
@@ -636,9 +622,12 @@ pub fn evaluate(q: &ConjunctiveQuery, db: &Database) -> EvalResult {
     all_assignments(q, db, &Assignment::new(), EvalOptions::default())
 }
 
-/// The answer set `Q(D)`, sorted and deduplicated.
+/// The answer set `Q(D) = ∪ α(head(Q))`, sorted and deduplicated.
 pub fn answer_set(q: &ConjunctiveQuery, db: &Database) -> Vec<Tuple> {
-    evaluate(q, db).answers(q)
+    let mut out = head_rows(q, db);
+    out.sort();
+    out.dedup();
+    out
 }
 
 /// The union's answer set `U(D)`: the disjuncts' answers, sorted and

@@ -57,7 +57,9 @@
 //! when the deadline lapses, even though no single `read()` ever times
 //! out. Request bodies are bounded ([`ServerOptions::max_body_bytes`],
 //! `413` beyond), and a request line longer than [`MAX_REQUEST_LINE`]
-//! with no line break in sight is cut off with `414`.
+//! with no line break in sight is cut off with `414`. A body is framed by
+//! `Content-Length` alone: an unparsable, negative or conflicting value
+//! gets `400`, and any `Transfer-Encoding` gets `501`.
 //!
 //! The server reads the *global* registry and watch directly, so it
 //! reflects live values mid-session (unlike exporters that consume an
@@ -312,12 +314,16 @@ fn work(pool: &Pool) {
             .lock()
             .unwrap_or_else(|p| p.into_inner())
             .recv();
-        let Ok(stream) = next else { break };
+        let Ok(mut stream) = next else { break };
         crate::gauge_add("serve.inflight", 1.0);
         worker.serving = true;
-        let _ = serve_one(stream, pool.started, &pool.options, &pool.request_ids);
+        let _ = serve_one(&mut stream, pool.started, &pool.options, &pool.request_ids);
         worker.serving = false;
+        // Free the slot before closing: a client that reconnects as soon
+        // as it reads EOF must find this worker counted as free, or the
+        // accept loop spawns another one for it.
         release_slot(pool);
+        drop(stream);
     }
 }
 
@@ -570,13 +576,15 @@ impl RejectInfo {
 /// The labeled sibling of the legacy `serve.rejected` total. Static names,
 /// because the reason vocabulary is closed: `cap` (connection/session
 /// caps), `uri` (request-line and head bounds), `deadline` (slow reads),
-/// `body` (body cap).
+/// `body` (body cap), `framing` (a bad or conflicting `Content-Length`,
+/// or any `Transfer-Encoding`).
 fn reject_reason_counter(reason: &str) -> &'static str {
     match reason {
         "cap" => "serve.rejected.cap",
         "uri" => "serve.rejected.uri",
         "deadline" => "serve.rejected.deadline",
         "body" => "serve.rejected.body",
+        "framing" => "serve.rejected.framing",
         _ => "serve.rejected.other",
     }
 }
@@ -672,12 +680,28 @@ fn read_request(stream: &mut TcpStream, options: &ServerOptions) -> std::io::Res
     let method = request_line.next().unwrap_or("").to_string();
     let path = request_line.next().unwrap_or("").to_string();
     let (route, query) = path.split_once('?').unwrap_or((path.as_str(), ""));
-    let mut content_length = 0usize;
+    let mut content_length: Option<usize> = None;
+    // The first framing error found: its status line and message.
+    let mut framing: Option<(&'static str, &'static str)> = None;
     let mut inbound_id: Option<String> = None;
     let mut trace_id: Option<String> = None;
     for (k, v) in head.lines().skip(1).filter_map(|l| l.split_once(':')) {
         if k.eq_ignore_ascii_case("content-length") {
-            content_length = v.trim().parse().unwrap_or(0);
+            match (parse_content_length(v), content_length) {
+                (Some(n), None) => content_length = Some(n),
+                (Some(n), Some(m)) if n == m => {}
+                _ => {
+                    framing.get_or_insert((
+                        "400 Bad Request",
+                        "invalid or conflicting Content-Length\n",
+                    ));
+                }
+            }
+        } else if k.eq_ignore_ascii_case("transfer-encoding") {
+            framing.get_or_insert((
+                "501 Not Implemented",
+                "Transfer-Encoding is not supported; send a Content-Length\n",
+            ));
         } else if k.eq_ignore_ascii_case("x-request-id") {
             inbound_id = sanitize_request_id(v);
         } else if k.eq_ignore_ascii_case("traceparent") {
@@ -686,6 +710,18 @@ fn read_request(stream: &mut TcpStream, options: &ServerOptions) -> std::io::Res
     }
     // An explicit X-Request-Id beats the traceparent's trace id.
     let request_id = inbound_id.or(trace_id);
+    // A body whose length is unknown cannot be read, nor skipped to find
+    // the next request: refuse it rather than guess.
+    if let Some((status, message)) = framing {
+        return Ok(ReadOutcome::Reject(Box::new(RejectInfo {
+            response: HttpResponse::text(status, message.to_string()),
+            reason: "framing",
+            method,
+            route: route.to_string(),
+            request_id,
+        })));
+    }
+    let content_length = content_length.unwrap_or(0);
     if content_length > options.max_body_bytes {
         return Ok(ReadOutcome::Reject(Box::new(RejectInfo {
             response: HttpResponse::text(
@@ -743,6 +779,16 @@ fn read_request(stream: &mut TcpStream, options: &ServerOptions) -> std::io::Res
         // anything else sees the request.
         request_id: request_id.unwrap_or_default(),
     }))
+}
+
+/// A `Content-Length` value: decimal digits only (no sign, no exponent),
+/// surrounding whitespace allowed. `None` when it is not one, or overflows.
+fn parse_content_length(raw: &str) -> Option<usize> {
+    let digits = raw.trim();
+    if digits.is_empty() || !digits.bytes().all(|b| b.is_ascii_digit()) {
+        return None;
+    }
+    digits.parse().ok()
 }
 
 fn find_head_end(buf: &[u8]) -> Option<usize> {
@@ -922,18 +968,18 @@ impl Drop for OpenRequest {
     }
 }
 
-/// Handle one connection: read the request, answer, close. Every path —
-/// reject or dispatch — counts its RED metrics, echoes the request id,
-/// and leaves an access-log line.
+/// Handle one connection: read the request and answer it; the caller
+/// closes it. Every path — reject or dispatch — counts its RED metrics,
+/// echoes the request id, and leaves an access-log line.
 fn serve_one(
-    mut stream: TcpStream,
+    stream: &mut TcpStream,
     started: Instant,
     options: &ServerOptions,
     ids: &AtomicU64,
 ) -> std::io::Result<()> {
     let received = Instant::now();
     let _ = stream.set_write_timeout(Some(Duration::from_secs(2)));
-    let mut req = match read_request(&mut stream, options)? {
+    let mut req = match read_request(stream, options)? {
         ReadOutcome::Request(req) => req,
         ReadOutcome::Reject(info) => {
             crate::counter_add("serve.rejected", 1);
@@ -948,8 +994,8 @@ fn serve_one(
                 info.response.status,
                 received.elapsed().as_nanos() as u64,
             );
-            let out = write_response(&mut stream, &info.response, Some(&rid));
-            drain_unread(&mut stream);
+            let out = write_response(stream, &info.response, Some(&rid));
+            drain_unread(stream);
             log_access(
                 options,
                 received,
@@ -1031,7 +1077,7 @@ fn serve_one(
         response.status,
         received.elapsed().as_nanos() as u64,
     );
-    let out = write_response(&mut stream, &response, Some(&req.request_id));
+    let out = write_response(stream, &response, Some(&req.request_id));
     let session = request
         .finish()
         .and_then(|r| r.session)
@@ -1495,6 +1541,81 @@ mod tests {
         // a small body still reaches dispatch (404: no handler installed)
         let response = http_post(addr, "/sessions", "{}");
         assert!(response.starts_with("HTTP/1.1 405"), "{response}");
+    }
+
+    /// Send `request` verbatim to a fresh server inside a telemetry
+    /// session; return the response and the `serve.rejected.framing` count.
+    /// Reading the response to EOF without a reset shows that the unread
+    /// body was drained before the close.
+    fn framing_reject(request: &str) -> (String, u64) {
+        let collector = Arc::new(InMemoryCollector::new());
+        let session = crate::session(collector);
+        let server = MetricsServer::start_with("127.0.0.1:0", ServerOptions::default())
+            .expect("bind ephemeral port");
+        let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+        stream.write_all(request.as_bytes()).unwrap();
+        let mut response = String::new();
+        stream
+            .read_to_string(&mut response)
+            .expect("a clean close, not a reset");
+        drop(server);
+        let rejected = crate::metrics()
+            .snapshot()
+            .counter("serve.rejected.framing");
+        drop(session);
+        (response, rejected)
+    }
+
+    #[test]
+    fn an_unparsable_content_length_gets_400() {
+        for value in ["abc", "1e5", "+5", "", "99999999999999999999999"] {
+            let (response, rejected) = framing_reject(&format!(
+                "POST /sessions HTTP/1.1\r\nContent-Length: {value}\r\n\r\n{{\"example\":1}}"
+            ));
+            assert!(
+                response.starts_with("HTTP/1.1 400"),
+                "{value:?}: {response}"
+            );
+            assert!(response.contains("Content-Length"), "{response}");
+            assert_eq!(rejected, 1, "{value:?}");
+        }
+    }
+
+    #[test]
+    fn a_negative_content_length_gets_400() {
+        let (response, rejected) =
+            framing_reject("POST /sessions HTTP/1.1\r\nContent-Length: -1\r\n\r\n{}");
+        assert!(response.starts_with("HTTP/1.1 400"), "{response}");
+        assert_eq!(rejected, 1);
+    }
+
+    #[test]
+    fn conflicting_content_lengths_get_400() {
+        let (response, rejected) = framing_reject(
+            "POST /sessions HTTP/1.1\r\nContent-Length: 2\r\nContent-Length: 9\r\n\r\n{}123456!",
+        );
+        assert!(response.starts_with("HTTP/1.1 400"), "{response}");
+        assert_eq!(rejected, 1);
+        // repeating the same length is not a conflict: the request reaches
+        // dispatch (405, no handler installed)
+        let (response, rejected) = framing_reject(
+            "POST /sessions HTTP/1.1\r\nContent-Length: 2\r\ncontent-length: 2\r\n\r\n{}",
+        );
+        assert!(response.starts_with("HTTP/1.1 405"), "{response}");
+        assert_eq!(rejected, 0);
+    }
+
+    #[test]
+    fn any_transfer_encoding_gets_501() {
+        for request in [
+            "POST /sessions HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n2\r\n{}\r\n0\r\n\r\n",
+            "POST /sessions HTTP/1.1\r\nContent-Length: 2\r\nTransfer-Encoding: identity\r\n\r\n{}",
+        ] {
+            let (response, rejected) = framing_reject(request);
+            assert!(response.starts_with("HTTP/1.1 501"), "{response}");
+            assert!(response.contains("Transfer-Encoding"), "{response}");
+            assert_eq!(rejected, 1);
+        }
     }
 
     #[test]

@@ -46,10 +46,7 @@ fn main() {
         let mut crowd = SingleExpert::new(PerfectOracle::new(ground.clone()));
         let report = clean_view(q, &mut dirty, &mut crowd, CleaningConfig::default())
             .expect("cleaning converges");
-        let truth = {
-            let gm = ground.clone();
-            answer_set(q, &gm)
-        };
+        let truth = answer_set(q, &ground);
         assert_eq!(
             answer_set(q, &dirty),
             truth,

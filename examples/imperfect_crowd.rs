@@ -26,10 +26,7 @@ fn main() {
         planted.wrong.len(),
         planted.missing.len()
     );
-    let truth = {
-        let gm = ground.clone();
-        answer_set(&q, &gm)
-    };
+    let truth = answer_set(&q, &ground);
 
     // ---- a single perfect expert, for reference ----
     {

@@ -76,10 +76,7 @@ fn main() {
 
     println!("query: {}", q.display());
     println!("Q1(D)  before cleaning: {:?}", answer_set(&q, &d));
-    {
-        let gm = g.clone();
-        println!("Q1(D_G) (the truth):    {:?}", answer_set(&q, &gm));
-    }
+    println!("Q1(D_G) (the truth):    {:?}", answer_set(&q, &g));
 
     // ---- clean with a simulated perfect oracle ----
     let mut crowd = SingleExpert::new(PerfectOracle::new(g));

@@ -54,10 +54,7 @@ fn main() {
         .expect("cleaning converges");
 
     let after = union_answer_set(&union, &dirty);
-    let truth = {
-        let gm = ground.clone();
-        union_answer_set(&union, &gm)
-    };
+    let truth = union_answer_set(&union, &ground);
     assert_eq!(after, truth, "the union view must equal the truth");
     println!(
         "answers after cleaning: {} (matches the ground truth ✓)",

@@ -72,9 +72,6 @@ fn main() {
     }
 
     println!("\nfinal answers: {:?}", monitor.answers());
-    assert_eq!(monitor.answers(), {
-        let gm = ground.clone();
-        qoco::engine::answer_set(&q, &gm)
-    });
+    assert_eq!(monitor.answers(), qoco::engine::answer_set(&q, &ground));
     println!("view matches the ground truth again ✓");
 }

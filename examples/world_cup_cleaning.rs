@@ -30,10 +30,7 @@ fn main() {
         planted.missing
     );
 
-    let true_answers = {
-        let gm = ground.clone();
-        answer_set(&q, &gm)
-    };
+    let true_answers = answer_set(&q, &ground);
 
     for deletion in [
         DeletionStrategy::Qoco,

@@ -5,10 +5,26 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
-echo "== cargo build --release =="
+# Each section prints its header; the next one first prints how long the
+# previous one took, so changes in CI cost show in the log. Timing only:
+# no section has a time limit.
+section_name=""
+section_started_us=${EPOCHREALTIME/[.,]/}
+section() {
+  local now_us=${EPOCHREALTIME/[.,]/}
+  if [ -n "$section_name" ]; then
+    local tenths=$(((now_us - section_started_us) / 100000))
+    echo "-- $section_name: $((tenths / 10)).$((tenths % 10)) s"
+  fi
+  section_name="$1"
+  section_started_us=$now_us
+  echo "== $1 =="
+}
+
+section "cargo build --release"
 cargo build --release
 
-echo "== cargo test -q (tier-1) =="
+section "cargo test -q (tier-1)"
 # tier-1 covers the root package (`qoco`) only: its unit tests, tests/*.rs
 # and doc tests. The --workspace step below adds the member crates' own
 # suites: the unit tests of data, query, engine, graph, crowd, core,
@@ -18,12 +34,12 @@ echo "== cargo test -q (tier-1) =="
 # phases_profile_repro, telemetry_noop_guard and telemetry_overhead_budget.
 cargo test -q
 
-echo "== tests/cli.rs under 16 threads, 10 times (temp-dir isolation) =="
+section "tests/cli.rs under 16 threads, 10 times (temp-dir isolation)"
 for _ in $(seq 1 10); do
   cargo test -q -p qoco --test cli -- --test-threads=16
 done
 
-echo "== no panics as control flow in production code =="
+section "no panics as control flow in production code"
 # served sessions park on a waiting thread; nothing may raise, catch or
 # hook a panic to steer the program
 if grep -rnE 'panic_any|catch_unwind|set_hook|take_hook' src crates/*/src; then
@@ -31,7 +47,7 @@ if grep -rnE 'panic_any|catch_unwind|set_hook|take_hook' src crates/*/src; then
   exit 1
 fi
 
-echo "== evaluation stays on the calling thread, one cleaning loop =="
+section "evaluation stays on the calling thread, one cleaning loop"
 # the parallel evaluation path and its thread knob are gone, and so is the
 # forked multi-expert cleaner: every Algorithm 3 session runs through
 # clean_view. Nothing may bring back a thread-pool or scoped-thread
@@ -50,7 +66,7 @@ if grep -rnE 'ucq_clean|clean_union_view|crowd_remove_wrong_answer_tracked|crowd
   exit 1
 fi
 
-echo "== unreached modules stay deleted =="
+section "unreached modules stay deleted"
 # key/foreign-key repair, the Proposition 3.4 enumeration, Edmonds–Karp
 # and two unused Section 7.2 metrics had no caller and were removed;
 # constraint repair is to be rebuilt on the cleaner's step function, not
@@ -61,7 +77,7 @@ if grep -rnwE 'constrained|ConstraintSet|naive_enumeration|FlowNetwork|max_flow|
   exit 1
 fi
 
-echo "== DESIGN.md §4 crate map matches the source tree =="
+section "DESIGN.md §4 crate map matches the source tree"
 # each row of the §4 table names a directory and, backticked, every .rs
 # file under it but lib.rs; every crate's src directory needs a row
 crate_map="$(sed -n '/^## 4\. /,/^## 5\. /p' DESIGN.md)"
@@ -80,19 +96,19 @@ for dir in $map_dirs; do
 done
 echo "crate map matches the source tree: OK"
 
-echo "== cargo test -q --workspace =="
+section "cargo test -q --workspace"
 cargo test -q --workspace
 
-echo "== cargo bench --workspace --no-run =="
+section "cargo bench --workspace --no-run"
 cargo bench --workspace --no-run
 
-echo "== cargo clippy --workspace --all-targets -- -D warnings =="
+section "cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "== cargo fmt --check =="
+section "cargo fmt --check"
 cargo fmt --all --check
 
-echo "== figures: question counts match the committed golden =="
+section "figures: question counts match the committed golden"
 # Crowd cost is the paper's primary metric, so every figure's count table
 # is a gate: a change that moves any count must update
 # scripts/figures.golden on purpose. The timed phase breakdown (`phases`)
@@ -107,14 +123,14 @@ cargo run -q --release -p qoco-bench --bin figures -- $figure_targets \
   || { echo "figures: counts differ from scripts/figures.golden (diff above)" >&2; exit 1; }
 echo "figure counts match scripts/figures.golden: OK"
 
-echo "== examples =="
+section "examples"
 # every example must run clean; most assert their outcome (the
 # imperfect-crowd panel must converge at every error rate it prints)
 for example in examples/*.rs; do
   cargo run -q --release --example "$(basename "$example" .rs)" > /dev/null
 done
 
-echo "== telemetry smoke-run =="
+section "telemetry smoke-run"
 # the Figure 1 scenario through qoco-cli must emit both a non-trivial
 # JSONL export covering the cleaning phases and a Perfetto-loadable Chrome
 # trace
@@ -148,7 +164,7 @@ echo "telemetry trace OK ($(wc -l < "$trace") JSONL lines)"
 cargo run -q --release -p qoco-bench --bin qoco-bench -- \
   validate-trace "$chrome_trace" --require-span clean.session
 
-echo "== chaos / crash-recovery smoke-run =="
+section "chaos / crash-recovery smoke-run"
 # the same Figure 1 scenario again, now under injected crowd faults and a
 # mid-session kill; emits the session script with a parameterised save dir
 chaos_script() {
@@ -192,7 +208,7 @@ diff -r "$work/clean-base" "$work/clean-resumed" \
   || { echo "resumed database differs from the uninterrupted run" >&2; exit 1; }
 echo "kill/resume reproduces the uninterrupted session: OK"
 
-echo "== decision provenance / explain smoke-run =="
+section "decision provenance / explain smoke-run"
 # the Figure 1 fixture again, extended with one wrong singleton-witness
 # tuple (BRA marked EU in dirty only) so both provenance shapes appear:
 # a greedy frequency ranking (multi-fact witnesses behind Q1) and a fired
@@ -249,20 +265,26 @@ diff "$work/explain-fresh.txt" "$work/explain-resumed.txt" \
   || { echo "explain: fresh and resumed reports differ" >&2; exit 1; }
 echo "decision provenance explains fresh and resumed sessions identically: OK"
 
-echo "== profiling smoke-run =="
+section "profiling smoke-run"
 # the Figure 1 session again, now under the sampling profiler: the
 # flamegraph must be structurally valid and must contain the cleaning
 # phases as frames. The bare fixture cleans in about a millisecond, too
-# short for a 200 µs sampler to be sure of one sample, so 60 extra EU
-# teams with two Final wins each (identical in dirty and ground: 60 more
-# correct answers to verify) stretch the session to ~15 ms.
+# short for a 200 µs sampler to be sure of one sample, so 3,000 extra EU
+# teams with two Final wins each (identical in dirty and ground: 3,000
+# more correct answers to verify) stretch the session to about 50 ms,
+# about 30 ms of it in the cleaner rather than the simulated oracle.
 cp -r "$work/dirty" "$work/dirty-prof"
 cp -r "$work/ground" "$work/ground-prof"
-for i in $(seq -w 1 60); do
-  printf 'T%s\tEU\n' "$i" | tee -a "$work/dirty-prof/Teams.tsv" >> "$work/ground-prof/Teams.tsv"
+for i in $(seq -w 1 3000); do
+  printf 'T%s\tEU\n' "$i"
+done > "$work/prof-teams.tsv"
+for i in $(seq -w 1 3000); do
   printf '01.01.%s\tT%s\tX%s\tFinal\t1:0\n02.02.%s\tT%s\tX%s\tFinal\t2:0\n' \
-    "$i" "$i" "$i" "$i" "$i" "$i" \
-    | tee -a "$work/dirty-prof/Games.tsv" >> "$work/ground-prof/Games.tsv"
+    "$i" "$i" "$i" "$i" "$i" "$i"
+done > "$work/prof-games.tsv"
+for side in dirty-prof ground-prof; do
+  cat "$work/prof-teams.tsv" >> "$work/$side/Teams.tsv"
+  cat "$work/prof-games.tsv" >> "$work/$side/Games.tsv"
 done
 flame="$work/session.svg"
 printf '%s\n' \
@@ -288,7 +310,7 @@ cargo run -q --release -p qoco-bench --bin qoco-bench -- \
   || { echo "profile --diff: self-diff must agree" >&2; exit 1; }
 echo "profiling smoke-run: OK"
 
-echo "== qoco-watch smoke-run =="
+section "qoco-watch smoke-run"
 # SLO rules for the chaos session: the crowd-error rule is deliberately
 # tripped by the injected timeout burst (two faulted asks land on one
 # early tick → rate 2/s > 0.5/s), then resolves once the window slides
@@ -380,7 +402,7 @@ wait "$cli_pid"
 trap 'rm -rf "$work"' EXIT
 echo "live dashboard, alerts and timeseries API: OK"
 
-echo "== perf regression gate (quick) =="
+section "perf regression gate (quick)"
 gate_quick="$work/gate-quick.out"
 cargo run -q --release -p qoco-bench --bin qoco-bench -- regressions --check --quick \
   | tee "$gate_quick"
@@ -402,7 +424,7 @@ grep -q "inject.slowdown" "$gate_out" \
   || { echo "gate attribution did not name inject.slowdown:" >&2; cat "$gate_out" >&2; exit 1; }
 echo "regression gate trips on injected slowdown and names the phase: OK"
 
-echo "== qoco-serve smoke-run (kill -9 / rehydrate) =="
+section "qoco-serve smoke-run (kill -9 / rehydrate)"
 # the serve-replay correctness gate first: every journal prefix of the
 # Figure 1 session must rehydrate and finish byte-identically in-process
 cargo run -q --release -p qoco-bench --bin qoco-bench -- validate-sessions
@@ -494,7 +516,7 @@ curl -sf "http://$saddr/sessions/s2/report" > "$work/serve-resumed.json"
 diff <(report_text "$work/serve-base.json") <(report_text "$work/serve-resumed.json") \
   || { echo "serve: killed+rehydrated report differs from uninterrupted run" >&2; exit 1; }
 
-echo "== request provenance: one id from the socket to the journal =="
+section "request provenance: one id from the socket to the journal"
 # the resumed answers were submitted under ci-audit-8; the id must appear
 # in the post-restart journal lines they caused
 grep -q 'r=ci-audit-8' "$serve_store/s2/session.journal" \
@@ -557,7 +579,7 @@ wait "$serve_pid" 2>/dev/null || true
 trap 'rm -rf "$work"' EXIT
 echo "qoco-serve kill -9 / rehydrate reproduces the uninterrupted report: OK"
 
-echo "== qoco-serve torn create: a leftover staging dir does not block restart =="
+section "qoco-serve torn create: a leftover staging dir does not block restart"
 # a create killed mid-write leaves only its staging dir (here holding just
 # spec.json); the server must start over it, list the real sessions and
 # delete the leftover
@@ -589,4 +611,4 @@ wait "$serve_pid" 2>/dev/null || true
 trap 'rm -rf "$work"' EXIT
 echo "torn create: restart lists the real sessions and drops the staging dir: OK"
 
-echo "== all CI gates passed =="
+section "all CI gates passed"

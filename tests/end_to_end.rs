@@ -14,8 +14,7 @@ use qoco::engine::answer_set;
 use qoco::query::ConjunctiveQuery;
 
 fn true_answers(ground: &Database, q: &ConjunctiveQuery) -> Vec<Tuple> {
-    let gm = ground.clone();
-    answer_set(q, &gm)
+    answer_set(q, ground)
 }
 
 #[test]

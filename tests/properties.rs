@@ -103,8 +103,7 @@ proptest! {
     #[test]
     fn evaluation_matches_brute_force(db in db_strategy(12), qi in 0..8usize) {
         let q = &query_pool()[qi];
-        let dbm = db.clone();
-        let fast: BTreeSet<_> = answer_set(q, &dbm).into_iter().collect();
+        let fast: BTreeSet<_> = answer_set(q, &db).into_iter().collect();
         let brute = brute_force_answers(q, &db);
         prop_assert_eq!(fast, brute);
     }
@@ -112,8 +111,7 @@ proptest! {
     #[test]
     fn all_assignments_are_valid_and_distinct(db in db_strategy(10), qi in 0..8usize) {
         let q = &query_pool()[qi];
-        let dbm = db.clone();
-        let res = evaluate(q, &dbm);
+        let res = evaluate(q, &db);
         let mut seen = BTreeSet::new();
         for a in &res.assignments {
             prop_assert!(seen.insert(a.clone()), "duplicate assignment");
@@ -139,8 +137,7 @@ proptest! {
         let config = CleaningConfig { max_iterations: 200, ..Default::default() };
         let report = clean_view(q, &mut d, &mut crowd, config).unwrap();
         // convergence: the repaired view equals the true result
-        let gm = ground.clone();
-        prop_assert_eq!(answer_set(q, &d), answer_set(q, &gm));
+        prop_assert_eq!(answer_set(q, &d), answer_set(q, &ground));
         // Proposition 3.3: monotone distance along the edit log
         let mut replay = dirty.clone();
         let mut dist = diff(&replay, &ground).unwrap().distance();
@@ -297,8 +294,7 @@ proptest! {
         };
         // every valid assignment of the substituted query extends to one of
         // the original with var := value
-        let dbm = db.clone();
-        let sub_res = evaluate(&sub, &dbm);
+        let sub_res = evaluate(&sub, &db);
         for a in &sub_res.assignments {
             let mut full = a.clone();
             prop_assert!(full.bind(var.clone(), value.clone()));
