@@ -14,11 +14,15 @@
 //! cleaning sessions, spans and the final metrics snapshot — so slow
 //! figure regenerations can be profiled offline.
 //!
-//! `--profile <path>` runs the whole regeneration under the in-process
-//! sampling profiler: a flamegraph SVG when the path ends in `.svg`,
-//! folded stack lines otherwise.
+//! `--profile <path>` folds the spans of the whole regeneration into a
+//! profile weighted by self time: a flamegraph SVG when the path ends in
+//! `.svg`, folded stack lines otherwise. Targets that capture a timeline of
+//! their own (`phases`, `watch`) nest inside the run's session, so their
+//! spans reach both the export and the profile.
 
 use std::sync::Arc;
+
+use qoco_telemetry::{Collector, FanoutCollector, InMemoryCollector, JsonlCollector, Profile};
 
 use qoco_bench::{
     ablation_composite, ablation_heuristics, ablation_hitting_set, ablation_umhs, dbgroup_case,
@@ -53,7 +57,7 @@ fn main() {
             .ok()
             .filter(|p| !p.is_empty());
     }
-    // --profile <path>: run everything under the sampling profiler
+    // --profile <path>: fold every span of the run into a profile
     let mut profile_path: Option<String> = None;
     if let Some(pos) = args.iter().position(|a| a == "--profile") {
         if pos + 1 >= args.len() {
@@ -63,23 +67,26 @@ fn main() {
         profile_path = Some(args.remove(pos + 1));
         args.remove(pos);
     }
-    let telemetry = telemetry_path.map(|path| {
-        let collector = Arc::new(
-            qoco_telemetry::JsonlCollector::create(&path).unwrap_or_else(|e| {
-                eprintln!("cannot create telemetry export {path}: {e}");
-                std::process::exit(2);
-            }),
-        );
+    let jsonl = telemetry_path.map(|path| {
+        let collector = Arc::new(JsonlCollector::create(&path).unwrap_or_else(|e| {
+            eprintln!("cannot create telemetry export {path}: {e}");
+            std::process::exit(2);
+        }));
         eprintln!("streaming telemetry to {path}");
-        (qoco_telemetry::session(collector.clone()), collector)
+        collector
     });
-    // The sampler only sees spans under an installed session; when profiling
-    // without --telemetry, install a discarded in-memory sink to enable one.
-    let _profile_session = (profile_path.is_some() && telemetry.is_none())
-        .then(|| qoco_telemetry::session(Arc::new(qoco_telemetry::InMemoryCollector::new())));
-    let profiler = profile_path
-        .as_ref()
-        .map(|_| qoco_telemetry::Profiler::start(qoco_telemetry::DEFAULT_SAMPLE_INTERVAL));
+    let in_memory = profile_path
+        .is_some()
+        .then(|| Arc::new(InMemoryCollector::new()));
+    let mut sinks: Vec<Arc<dyn Collector>> = Vec::new();
+    if let Some(c) = &jsonl {
+        sinks.push(c.clone());
+    }
+    if let Some(c) = &in_memory {
+        sinks.push(c.clone());
+    }
+    let _session =
+        (!sinks.is_empty()).then(|| qoco_telemetry::session(Arc::new(FanoutCollector::new(sinks))));
     let targets: Vec<&str> = if args.is_empty() || args.iter().any(|a| a == "all") {
         vec![
             "fig3a",
@@ -139,8 +146,8 @@ fn main() {
         }
     }
 
-    if let (Some(path), Some(profiler)) = (&profile_path, profiler) {
-        let profile = profiler.stop();
+    if let (Some(path), Some(collector)) = (&profile_path, &in_memory) {
+        let profile = Profile::from_spans(&collector.spans());
         let rendered = if path.ends_with(".svg") {
             profile.flamegraph_svg("qoco figures regeneration")
         } else {
@@ -148,11 +155,12 @@ fn main() {
         };
         std::fs::write(path, rendered).expect("write profile output");
         eprintln!(
-            "profile: {} sample(s), {} dropped → {path}",
-            profile.samples, profile.dropped
+            "profile: {} stack(s), {} of span time → {path}",
+            profile.counts().len(),
+            qoco_telemetry::fmt_ns(profile.total)
         );
     }
-    if let Some((_guard, collector)) = &telemetry {
+    if let Some(collector) = &jsonl {
         collector.write_metrics(&qoco_telemetry::metrics().snapshot());
         collector.flush();
     }

@@ -8,12 +8,14 @@
 //!   writes; otherwise a summary line is appended to
 //!   `BENCH_trajectory.jsonl`. `--inject-slowdown CELL=FACTOR` multiplies
 //!   one measured cell after the fact — CI uses it to prove the gate trips.
-//!   `--attribute` re-runs each regressed cell under the sampling profiler
-//!   and names the top frames in the failure message (and the trajectory
-//!   line), turning "a cell regressed" into "this phase regressed".
-//! * `profile CELL` — run one sweep cell under the sampling profiler and
-//!   write folded stacks (or a flamegraph SVG with an `.svg` `--out`).
-//!   `profile --diff BASE HEAD` compares two folded files frame by frame.
+//!   `--attribute` re-runs each regressed cell, folds a profile from its
+//!   spans and names the top self-time frames in the failure message (and
+//!   the trajectory line), turning "a cell regressed" into "this phase
+//!   regressed".
+//! * `profile CELL` — run one sweep cell for `--budget-ms` and write the
+//!   folded stacks of its spans, weighted by self time in nanoseconds (or
+//!   a flamegraph SVG with an `.svg` `--out`). `profile --diff BASE HEAD`
+//!   compares two folded files frame by frame.
 //! * `validate-trace FILE` — structurally validate an exported Chrome
 //!   trace (array or object form), requiring any `--require-span NAME`
 //!   spans.
@@ -49,7 +51,7 @@ use qoco_bench::regressions::{compare, load_baseline, DEFAULT_THRESHOLD};
 use qoco_bench::scaling::{scaling_sweep, SweepConfig};
 use qoco_bench::trace_check::validate_trace;
 use qoco_bench::watch_replay::replay;
-use qoco_telemetry::Profile;
+use qoco_telemetry::{fmt_ns, Profile};
 
 fn repo_path(file: &str) -> String {
     format!("{}/../../{file}", env!("CARGO_MANIFEST_DIR"))
@@ -60,7 +62,7 @@ fn usage() -> ExitCode {
         "usage: qoco-bench regressions [--quick] [--check] [--attribute] [--threshold X] \
          [--baseline FILE] [--inject-slowdown workload/size/engine=FACTOR]\n       \
          qoco-bench profile workload/size/current [--out FILE.folded|FILE.svg] \
-         [--interval-us N] [--budget-ms N]\n       \
+         [--budget-ms N]\n       \
          qoco-bench profile --diff BASE.folded HEAD.folded [--min-delta PCT]\n       \
          qoco-bench validate-trace FILE [--require-span NAME]...\n       \
          qoco-bench validate-flamegraph FILE [--require-frame NAME]...\n       \
@@ -320,7 +322,7 @@ fn run_regressions(args: &[String]) -> ExitCode {
     let report = compare(&samples, &baseline, threshold);
     print!("{}", report.render());
 
-    // Per-phase attribution: re-run each regressed cell under the sampler
+    // Per-phase attribution: re-run each regressed cell, fold its spans
     // and name its hottest frames. An injected slowdown only multiplied a
     // recorded mean, so the re-run materializes it as real busy-wait time
     // inside an `inject.slowdown` span — the profile then names the
@@ -333,20 +335,16 @@ fn run_regressions(args: &[String]) -> ExitCode {
                 .find(|(c, _)| *c == cell.key)
                 .map(|(_, f)| *f);
             eprintln!(
-                "attributing regression in {} (re-run under sampler)…",
+                "attributing regression in {} (re-run with spans)…",
                 cell.key
             );
-            match profile_cell(
-                &cell.key,
-                Duration::from_micros(200),
-                Duration::from_millis(150),
-                inject_factor,
-            ) {
+            match profile_cell(&cell.key, Duration::from_millis(150), inject_factor) {
                 Ok(profile) => {
                     let frames = top_frames_line(&profile, 3);
                     println!(
-                        "attribution for {}: top regressed frames: {frames} ({} samples)",
-                        cell.key, profile.samples
+                        "attribution for {}: top regressed frames: {frames} ({} of span time)",
+                        cell.key,
+                        fmt_ns(profile.total)
                     );
                     attribution.push((cell.key.clone(), frames));
                 }
@@ -429,17 +427,12 @@ fn run_profile(args: &[String]) -> ExitCode {
     } else {
         let mut cell = None;
         let mut out = None;
-        let mut interval = Duration::from_micros(200);
         let mut budget = Duration::from_millis(500);
         let mut it = args.iter();
         while let Some(arg) = it.next() {
             match arg.as_str() {
                 "--out" => match it.next() {
                     Some(v) => out = Some(v.clone()),
-                    None => return usage(),
-                },
-                "--interval-us" => match it.next().and_then(|v| v.parse().ok()) {
-                    Some(v) => interval = Duration::from_micros(v),
                     None => return usage(),
                 },
                 "--budget-ms" => match it.next().and_then(|v| v.parse().ok()) {
@@ -452,8 +445,8 @@ fn run_profile(args: &[String]) -> ExitCode {
         }
         let Some(cell) = cell else { return usage() };
 
-        eprintln!("profiling {cell} for {budget:?} (sampling every {interval:?})…");
-        let profile = match profile_cell(&cell, interval, budget, None) {
+        eprintln!("profiling {cell} for {budget:?}…");
+        let profile = match profile_cell(&cell, budget, None) {
             Ok(p) => p,
             Err(e) => {
                 eprintln!("error: {e}");
@@ -461,9 +454,9 @@ fn run_profile(args: &[String]) -> ExitCode {
             }
         };
         eprintln!(
-            "captured {} samples ({} dropped); top frames: {}",
-            profile.samples,
-            profile.dropped,
+            "folded {} stacks ({} of span time); top frames: {}",
+            profile.counts().len(),
+            fmt_ns(profile.total),
             top_frames_line(&profile, 3)
         );
         match out {

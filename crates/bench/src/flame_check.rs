@@ -38,6 +38,18 @@ fn numeric_attr(tag: &str, name: &str, frame: usize) -> Result<f64, String> {
     Ok(v)
 }
 
+/// Whether `tail` is the `D, P%)` end of a tooltip: a span time as
+/// [`qoco_telemetry::fmt_ns`] prints it and a share of the whole.
+fn is_time_share(tail: &str) -> bool {
+    let Some((time, pct)) = tail.strip_suffix("%)").and_then(|t| t.split_once(", ")) else {
+        return false;
+    };
+    let number = ["ns", "µs", "ms", "s"]
+        .iter()
+        .find_map(|unit| time.strip_suffix(unit));
+    number.is_some_and(|n| n.parse::<f64>().is_ok()) && pct.parse::<f64>().is_ok()
+}
+
 fn unescape_xml(s: &str) -> String {
     s.replace("&lt;", "<")
         .replace("&gt;", ">")
@@ -75,7 +87,7 @@ pub fn validate_flamegraph(text: &str, require_frames: &[String]) -> Result<Flam
         let group = &after[..end];
         frames += 1;
 
-        // exactly one tooltip, of the renderer's `name (N samples, P%)` form
+        // exactly one tooltip, of the renderer's `name (1.2ms, P%)` form
         let title_at = group
             .find("<title>")
             .ok_or_else(|| format!("frame {frames}: no <title> tooltip"))?;
@@ -85,10 +97,10 @@ pub fn validate_flamegraph(text: &str, require_frames: &[String]) -> Result<Flam
         let title = &group[title_at + "<title>".len()..title_end];
         let name = title
             .rsplit_once(" (")
-            .filter(|(_, tail)| tail.contains("samples"))
+            .filter(|(_, tail)| is_time_share(tail))
             .map(|(name, _)| name)
             .ok_or_else(|| {
-                format!("frame {frames}: tooltip `{title}` lacks a `(N samples, P%)` suffix")
+                format!("frame {frames}: tooltip `{title}` lacks a `(TIME, P%)` suffix")
             })?;
         frame_names.insert(unescape_xml(name));
 
@@ -181,6 +193,25 @@ mod tests {
         let svg = Profile::default().flamegraph_svg("empty");
         let err = validate_flamegraph(&svg, &[]).unwrap_err();
         assert!(err.contains("empty"), "{err}");
+    }
+
+    #[test]
+    fn rejects_a_tooltip_without_a_time_and_share() {
+        let svg = rendered();
+        for bad in [
+            "(40 samples, 53.33%)",
+            "(40, 53.33%)",
+            "(40ns 53.33%)",
+            "(40ns, x%)",
+        ] {
+            let broken = svg.replacen("(40ns, 53.33%)", bad, 1);
+            assert_ne!(broken, svg, "fixture holds the replaced tooltip");
+            let err = validate_flamegraph(&broken, &[]).unwrap_err();
+            assert!(err.contains("(TIME, P%)"), "{bad}: {err}");
+        }
+        assert!(is_time_share("1.2ms, 4.56%)"));
+        assert!(is_time_share("3.5µs, 0.10%)"));
+        assert!(is_time_share("1.00s, 100.00%)"));
     }
 
     #[test]

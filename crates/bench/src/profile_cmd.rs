@@ -1,10 +1,11 @@
-//! Profiling one scaling-sweep cell under the sampling profiler.
+//! Profiling one scaling-sweep cell from its spans.
 //!
 //! `qoco-bench profile CELL` and `qoco-bench regressions --attribute` both
 //! need the same thing: run a named cell of the eval sweep (see
-//! [`crate::scaling`]) in a loop under [`qoco_telemetry::Profiler`] and
-//! fold the samples, so a ±25% gate failure can be localized to a phase
-//! (`eval.assignments`, `view.apply_edit`, …) instead of a whole cell.
+//! [`crate::scaling`]) in a loop under an in-memory telemetry session and
+//! fold the closed spans ([`Profile::from_spans`]), so a ±25% gate failure
+//! can be localized to a phase (`eval.assignments`, `view.apply_edit`, …)
+//! instead of a whole cell.
 //!
 //! The `--inject-slowdown` plumbing multiplies a *recorded mean* after
 //! measurement — a number, not work, so a profile would never see it. For
@@ -18,7 +19,7 @@ use std::time::{Duration, Instant};
 
 use qoco_data::Edit;
 use qoco_engine::{answer_set, evaluate, MaterializedView};
-use qoco_telemetry::{diff_profiles, InMemoryCollector, Profile, Profiler};
+use qoco_telemetry::{diff_profiles, fmt_ns, InMemoryCollector, Profile};
 
 use crate::scaling::{cleaning_cycle_facts, dense_workload, selective_workload};
 
@@ -79,21 +80,19 @@ pub fn parse_cell(key: &str) -> Result<CellSpec, String> {
     })
 }
 
-/// Run `cell` in a loop for `budget` under the sampler at `interval` and
-/// return the folded profile. `inject_factor` re-materializes an injected
-/// slowdown as real busy-wait time inside an `inject.slowdown` span (see
-/// the module docs); pass `None` for an honest profile.
+/// How much of the budget runs between two folds of the collected spans.
+const PROFILE_SLICE: Duration = Duration::from_millis(50);
+
+/// Run `cell` in a loop for `budget` and return the profile folded from
+/// its spans. `inject_factor` re-materializes an injected slowdown as real
+/// busy-wait time inside an `inject.slowdown` span (see the module docs);
+/// pass `None` for an honest profile.
 pub fn profile_cell(
     cell: &str,
-    interval: Duration,
     budget: Duration,
     inject_factor: Option<f64>,
 ) -> Result<Profile, String> {
     let spec = parse_cell(cell)?;
-    // The profiler needs a live session; the collector's span records are
-    // irrelevant here (the profile is the output), so an in-memory sink
-    // that is dropped on exit is the cheapest thing that enables telemetry.
-    let session = qoco_telemetry::session(Arc::new(InMemoryCollector::new()));
     // One iteration of the cell's measured unit: a full evaluation for the
     // eval workloads, a single edit (+ answer-set maintenance) for
     // `cleaning_sweep`.
@@ -140,41 +139,46 @@ pub fn profile_cell(
             })
         }
     };
-    // Warm-up outside the profiled region: lazy index builds (and the
+    // Warm-up before the session starts: lazy index builds (and the
     // initial view materialization) would otherwise smear one-time setup
-    // over the first iteration's samples.
+    // over the profile.
     iteration();
-    let profiler = Profiler::start(interval);
-    {
-        let _root = qoco_telemetry::span("profile.cell");
-        let started = Instant::now();
-        while started.elapsed() < budget {
-            let iter_started = Instant::now();
-            iteration();
-            if let Some(factor) = inject_factor.filter(|f| *f > 1.0) {
-                let spin = iter_started.elapsed().mul_f64(factor - 1.0);
-                let _injected = qoco_telemetry::span("inject.slowdown");
-                let spin_started = Instant::now();
-                while spin_started.elapsed() < spin {
-                    std::hint::spin_loop();
+    let collector = Arc::new(InMemoryCollector::new());
+    let session = qoco_telemetry::session(collector.clone());
+    let mut profile = Profile::default();
+    let started = Instant::now();
+    while started.elapsed() < budget {
+        // Fold one slice at a time, each under its own root, so memory is
+        // bounded by one slice's spans however long the budget.
+        {
+            let _root = qoco_telemetry::span("profile.cell");
+            let slice_started = Instant::now();
+            while slice_started.elapsed() < PROFILE_SLICE && started.elapsed() < budget {
+                let iter_started = Instant::now();
+                iteration();
+                if let Some(factor) = inject_factor.filter(|f| *f > 1.0) {
+                    let spin = iter_started.elapsed().mul_f64(factor - 1.0);
+                    let _injected = qoco_telemetry::span("inject.slowdown");
+                    let spin_started = Instant::now();
+                    while spin_started.elapsed() < spin {
+                        std::hint::spin_loop();
+                    }
                 }
             }
         }
+        for (stack, &weight) in Profile::from_spans(&collector.spans()).counts() {
+            profile.record(stack, weight);
+        }
+        collector.clear();
     }
-    let profile = profiler.stop();
     drop(session);
-    if profile.is_empty() {
-        return Err(format!(
-            "profiling {cell} captured no samples (budget {budget:?}, interval {interval:?})"
-        ));
-    }
     Ok(profile)
 }
 
-/// `name pct%` pairs for the `n` frames with the most self samples —
-/// the one-line attribution used in gate-failure messages.
+/// `name pct%` pairs for the `n` frames with the most self time — the
+/// one-line attribution used in gate-failure messages.
 pub fn top_frames_line(profile: &Profile, n: usize) -> String {
-    let total = profile.samples.max(1) as f64;
+    let total = profile.total.max(1) as f64;
     profile
         .top_self(n)
         .into_iter()
@@ -184,14 +188,14 @@ pub fn top_frames_line(profile: &Profile, n: usize) -> String {
 }
 
 /// Human-readable frame-share diff of two folded profiles: every frame
-/// whose share moved at least `min_delta` (fraction of samples), grown
+/// whose share moved at least `min_delta` (fraction of the total), grown
 /// frames first.
 pub fn render_diff(base: &Profile, head: &Profile, min_delta: f64) -> String {
     let deltas = diff_profiles(base, head);
     let mut out = format!(
-        "frame share diff (base {} samples, head {} samples; showing |Δ| ≥ {:.0}%):\n",
-        base.samples,
-        head.samples,
+        "frame share diff (base {}, head {}; showing |Δ| ≥ {:.0}%):\n",
+        fmt_ns(base.total),
+        fmt_ns(head.total),
         min_delta * 100.0
     );
     out.push_str(&format!(
@@ -251,13 +255,8 @@ mod tests {
 
     #[test]
     fn profiling_a_cleaning_cell_yields_view_frames() {
-        let profile = profile_cell(
-            "cleaning_sweep/300/view",
-            Duration::from_micros(100),
-            Duration::from_millis(80),
-            None,
-        )
-        .unwrap();
+        let profile =
+            profile_cell("cleaning_sweep/300/view", Duration::from_millis(80), None).unwrap();
         let totals = profile.total_by_frame();
         assert!(totals.contains_key("profile.cell"));
         assert!(
@@ -279,14 +278,8 @@ mod tests {
 
     #[test]
     fn profiling_a_small_cell_yields_eval_frames() {
-        let profile = profile_cell(
-            "dense/300/current",
-            Duration::from_micros(100),
-            Duration::from_millis(80),
-            None,
-        )
-        .unwrap();
-        assert!(profile.samples > 0);
+        let profile = profile_cell("dense/300/current", Duration::from_millis(80), None).unwrap();
+        assert!(profile.total > 0);
         let totals = profile.total_by_frame();
         assert!(
             totals.contains_key("eval.assignments"),
@@ -298,13 +291,8 @@ mod tests {
 
     #[test]
     fn injected_slowdown_dominates_the_profile() {
-        let profile = profile_cell(
-            "dense/300/current",
-            Duration::from_micros(100),
-            Duration::from_millis(80),
-            Some(4.0),
-        )
-        .unwrap();
+        let profile =
+            profile_cell("dense/300/current", Duration::from_millis(80), Some(4.0)).unwrap();
         let top = profile.top_self(1);
         assert_eq!(
             top[0].0,

@@ -19,7 +19,7 @@ use std::time::{Duration, Instant};
 
 use qoco_bench::scaling::dense_workload;
 use qoco_engine::{all_assignments, Assignment, EvalOptions};
-use qoco_telemetry::{InMemoryCollector, Profiler};
+use qoco_telemetry::InMemoryCollector;
 
 const ROUNDS: usize = 7;
 const NOISE_HEADROOM: f64 = 1.20;
@@ -126,55 +126,12 @@ fn per_request_enabled_cost_is_bounded() {
     );
 }
 
-/// A running sampler must not slow the mutators it observes. The sampler
-/// never blocks span open/close — it `try_lock`s the stack registry and
-/// counts a dropped sample on contention — so the with-sampler eval time
-/// should match the without-sampler time up to scheduler noise. Same
-/// min-of-N interleaved scheme and the same rationale for a loose bound as
-/// the enabled-telemetry test above: a regression that makes the sampler
-/// *block* mutators (a `lock()` instead of `try_lock()`, say) shows up as
-/// multiples, not percentages.
-#[test]
-fn sampling_profiler_overhead_stays_within_budget() {
-    let _serial = SERIAL.lock().unwrap_or_else(|p| p.into_inner());
-    let (db, q) = dense_workload(500);
-    let collector = Arc::new(InMemoryCollector::new());
-    let session = qoco_telemetry::session(collector);
-    assert!(eval_once(&db, &q) > 0); // warm-up under the session
-
-    let mut plain_min = u64::MAX;
-    let mut sampled_min = u64::MAX;
-    let mut ticks = 0u64;
-    for _ in 0..ROUNDS {
-        plain_min = plain_min.min(time_ns(|| eval_once(&db, &q)));
-
-        let profiler = Profiler::start(Duration::from_micros(200));
-        assert!(profiler.is_live(), "sampler must run under a live session");
-        sampled_min = sampled_min.min(time_ns(|| eval_once(&db, &q)));
-        let profile = profiler.stop();
-        ticks += profile.samples + profile.dropped;
-    }
-    drop(session);
-    assert!(
-        ticks > 0,
-        "across {ROUNDS} rounds the sampler never ticked — it was not running"
-    );
-
-    let ratio = sampled_min as f64 / plain_min as f64;
-    assert!(
-        ratio < NOISE_HEADROOM,
-        "a 200µs sampler costs {ratio:.2}× over unprofiled eval \
-         (min-of-{ROUNDS}: {sampled_min}ns vs {plain_min}ns) — \
-         the sampler must never block mutators"
-    );
-}
-
 /// A running qoco-watch must not slow the mutators it observes. Each wall
 /// tick snapshots the metrics registry and evaluates rules off the mutator
 /// threads; mutators only pay the registry's existing sharded counter path
 /// plus the `watch_tick` relaxed load. Same min-of-N interleaved scheme and
-/// loose bound as the profiler test above: a watch that put locking or
-/// evaluation onto the mutator path would show up as multiples.
+/// loose bound as the enabled-telemetry test above: a watch that put
+/// locking or evaluation onto the mutator path would show up as multiples.
 #[test]
 fn watch_sampler_overhead_stays_within_budget() {
     let _serial = SERIAL.lock().unwrap_or_else(|p| p.into_inner());

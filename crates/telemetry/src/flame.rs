@@ -2,10 +2,11 @@
 //!
 //! Zero dependencies, zero scripting: the output is a static SVG (icicle
 //! orientation — roots at the top, leaves growing downward) with a
-//! `<title>` tooltip per frame, viewable in any browser. Rendering is
-//! **deterministic**: frames are laid out in byte order of their names and
-//! colored by a hash of the name, so two renders of the same sample set
-//! are byte-identical (the property `qoco-bench validate-flamegraph` and
+//! `<title>` tooltip per frame, viewable in any browser. Weights are
+//! nanoseconds of span self time (see [`crate::Profile::from_spans`]).
+//! Rendering is **deterministic**: frames are laid out in byte order of
+//! their names and colored by a hash of the name, so two renders of the
+//! same profile are byte-identical (the property `qoco-bench validate-flamegraph` and
 //! the determinism test lean on).
 
 use std::collections::BTreeMap;
@@ -17,7 +18,7 @@ const WIDTH: f64 = 1200.0;
 const FRAME_H: f64 = 16.0;
 /// Vertical space above the first row (title banner).
 const TOP_PAD: f64 = 40.0;
-/// Vertical space below the last row (sample-count footer).
+/// Vertical space below the last row (span-time footer).
 const BOTTOM_PAD: f64 = 24.0;
 /// Frames narrower than this many px are dropped from the SVG — they are
 /// invisible anyway and unbounded stacks would bloat the file.
@@ -89,18 +90,18 @@ fn render_node(
     node: &Node,
     x: f64,
     depth: usize,
-    per_sample: f64,
+    per_ns: f64,
     total: u64,
 ) {
-    let w = node.count as f64 * per_sample;
+    let w = node.count as f64 * per_ns;
     if w >= MIN_FRAME_W {
         let y = TOP_PAD + depth as f64 * FRAME_H;
         let pct = 100.0 * node.count as f64 / total as f64;
         let esc = escape_xml(name);
         let _ = write!(
             out,
-            r#"<g class="frame"><title>{esc} ({} samples, {pct:.2}%)</title>"#,
-            node.count
+            r#"<g class="frame"><title>{esc} ({}, {pct:.2}%)</title>"#,
+            crate::fmt_ns(node.count)
         );
         let _ = write!(
             out,
@@ -127,20 +128,12 @@ fn render_node(
     }
     let mut child_x = x;
     for (child_name, child) in &node.children {
-        render_node(
-            out,
-            child_name,
-            child,
-            child_x,
-            depth + 1,
-            per_sample,
-            total,
-        );
-        child_x += child.count as f64 * per_sample;
+        render_node(out, child_name, child, child_x, depth + 1, per_ns, total);
+        child_x += child.count as f64 * per_ns;
     }
 }
 
-/// Render folded-stack counts (`";"-joined stack → samples`) as a
+/// Render folded-stack weights (`";"-joined stack → nanoseconds`) as a
 /// self-contained flamegraph SVG. Deterministic: byte-identical output for
 /// identical input. An empty profile renders a placeholder banner rather
 /// than failing.
@@ -167,25 +160,25 @@ rect {{ stroke: #ffffff; stroke-width: 0.5; }}
     if root.count == 0 {
         let _ = write!(
             out,
-            r#"<text x="12" y="{y:.1}">no samples captured</text>"#,
+            r#"<text x="12" y="{y:.1}">no span time recorded</text>"#,
             y = TOP_PAD + FRAME_H - 4.5
         );
         out.push('\n');
     } else {
-        let per_sample = WIDTH / root.count as f64;
+        let per_ns = WIDTH / root.count as f64;
         let mut child_x = 0.0;
         for (name, child) in &root.children {
-            render_node(&mut out, name, child, child_x, 0, per_sample, root.count);
-            child_x += child.count as f64 * per_sample;
+            render_node(&mut out, name, child, child_x, 0, per_ns, root.count);
+            child_x += child.count as f64 * per_ns;
         }
     }
     let _ = write!(
         out,
-        r#"<text x="12" y="{y:.1}" class="footer">{n} samples, {m} distinct stacks</text>
+        r#"<text x="12" y="{y:.1}" class="footer">{n} of span self time, {m} distinct stacks</text>
 </svg>
 "#,
         y = height - 8.0,
-        n = root.count,
+        n = crate::fmt_ns(root.count),
         m = counts.len()
     );
     out
@@ -210,7 +203,7 @@ mod tests {
         let b = flamegraph_svg(&counts, "determinism check");
         assert_eq!(
             a, b,
-            "two renders of the same sample set must be byte-identical"
+            "two renders of the same profile must be byte-identical"
         );
     }
 
@@ -220,8 +213,9 @@ mod tests {
         // frames: session, eval, eval.satisfiable, split — all wide enough
         assert_eq!(svg.matches(r#"<g class="frame">"#).count(), 4);
         assert_eq!(svg.matches("<title>").count(), 4);
-        assert!(svg.contains("session (75 samples, 100.00%)"));
-        assert!(svg.contains("eval.satisfiable (40 samples, 53.33%)"));
+        assert!(svg.contains("session (75ns, 100.00%)"));
+        assert!(svg.contains("eval.satisfiable (40ns, 53.33%)"));
+        assert!(svg.contains("75ns of span self time, 3 distinct stacks"));
         assert!(svg.starts_with("<?xml"));
         assert!(svg.trim_end().ends_with("</svg>"));
     }
@@ -253,8 +247,8 @@ mod tests {
     #[test]
     fn empty_profile_renders_a_placeholder() {
         let svg = flamegraph_svg(&BTreeMap::new(), "empty");
-        assert!(svg.contains("no samples captured"));
-        assert!(svg.contains("0 samples, 0 distinct stacks"));
+        assert!(svg.contains("no span time recorded"));
+        assert!(svg.contains("0ns of span self time, 0 distinct stacks"));
     }
 
     #[test]

@@ -85,9 +85,7 @@ pub use decision::{
 };
 pub use flame::flamegraph_svg;
 pub use metrics::{HistogramSummary, MetricsRegistry, MetricsSnapshot, BUCKET_BOUNDS};
-pub use profiler::{
-    diff_profiles, sample_totals, FrameDelta, Profile, Profiler, DEFAULT_SAMPLE_INTERVAL,
-};
+pub use profiler::{diff_profiles, FrameDelta, Profile};
 pub use request::{
     adopt_request, begin_request, current_request_id, end_request, inflight_requests,
     intern_metric_name, set_request_phase, set_request_session, InflightRequest,
@@ -113,9 +111,6 @@ static NEXT_SPAN_ID: AtomicU64 = AtomicU64::new(1);
 static NEXT_THREAD_ORD: AtomicU64 = AtomicU64::new(0);
 static GLOBAL_METRICS: MetricsRegistry = MetricsRegistry::new();
 static SESSION_LOCK: Mutex<()> = Mutex::new(());
-/// Live span stacks, updated on the enabled span path and sampled by the
-/// profiler; see [`profiler::StackRegistry`].
-static STACK_REGISTRY: profiler::StackRegistry = profiler::StackRegistry::new();
 /// Nanoseconds between the process epoch and the most recent install;
 /// subtracting it makes every record session-relative, so a second
 /// `session()` in the same process starts again from (near) zero.
@@ -171,9 +166,7 @@ pub fn install(collector: Arc<dyn Collector>) {
     // Decision ids are session-scoped so a resumed session replaying the
     // same questions reproduces the same ids.
     decision::NEXT_DECISION_ID.store(1, Ordering::Relaxed);
-    // A span guard leaked across sessions must not haunt the profiler.
-    STACK_REGISTRY.clear();
-    // Nor may a request leaked across sessions haunt the in-flight
+    // A request leaked across sessions must not haunt the in-flight
     // inspector.
     request::clear_registry();
     let mut slot = COLLECTOR.write().unwrap_or_else(|p| p.into_inner());
@@ -186,10 +179,6 @@ pub fn uninstall() -> Option<Arc<dyn Collector>> {
     ENABLED.store(false, Ordering::Relaxed);
     let mut slot = COLLECTOR.write().unwrap_or_else(|p| p.into_inner());
     slot.take()
-}
-
-pub(crate) fn stack_registry() -> &'static profiler::StackRegistry {
-    &STACK_REGISTRY
 }
 
 fn with_collector(f: impl FnOnce(&dyn Collector)) {
@@ -225,19 +214,23 @@ pub struct NestedSessionGuard {
     prev: Option<Arc<dyn Collector>>,
 }
 
-/// Temporarily redirect the record stream to `collector` *inside* an
-/// already-active session. [`session`] self-deadlocks when called while
-/// its guard is alive on the same thread — the session lock is not
-/// reentrant — so a harness that owns the outer session (e.g. `figures
-/// --profile`, whose `phases` target captures its own timeline) nests
-/// with this instead. Only the collector slot is swapped: the session
-/// lock, epoch, metrics, and the profiler's stack registry are untouched,
-/// so a running sampler keeps seeing the live span stacks. Dropping the
-/// guard restores the outer collector (and the disabled state, if there
-/// was no outer session).
+/// Also send the record stream to `collector` *inside* an already-active
+/// session. [`session`] self-deadlocks when called while its guard is
+/// alive on the same thread — the session lock is not reentrant — so a
+/// harness that owns the outer session (e.g. `figures --profile`, whose
+/// `phases` target captures its own timeline) nests with this instead.
+/// The outer collector keeps receiving every record (the two are teed
+/// through a [`FanoutCollector`]); the inner one sees only what happens
+/// while the guard lives. The session lock, epoch and metrics are
+/// untouched. Dropping the guard restores the outer collector (and the
+/// disabled state, if there was no outer session).
 pub fn nested_session(collector: Arc<dyn Collector>) -> NestedSessionGuard {
     let mut slot = COLLECTOR.write().unwrap_or_else(|p| p.into_inner());
-    let prev = slot.replace(collector);
+    let prev = slot.take();
+    *slot = Some(match &prev {
+        Some(outer) => Arc::new(FanoutCollector::new(vec![outer.clone(), collector])),
+        None => collector,
+    });
     ENABLED.store(true, Ordering::Relaxed);
     NestedSessionGuard { prev }
 }
@@ -265,7 +258,6 @@ pub fn span(name: &'static str) -> SpanGuard {
         parent
     });
     let thread = thread_ordinal();
-    STACK_REGISTRY.span_opened(id, parent, name, thread);
     let start = Instant::now();
     SpanGuard {
         inner: Some(ActiveSpan {
@@ -290,14 +282,12 @@ pub fn current_span_id() -> Option<u64> {
 }
 
 pub(crate) fn finish_span(active: ActiveSpan) {
-    let new_leaf = SPAN_STACK.with(|s| {
+    SPAN_STACK.with(|s| {
         let mut stack = s.borrow_mut();
         if let Some(pos) = stack.iter().rposition(|id| *id == active.id) {
             stack.remove(pos);
         }
-        stack.last().copied()
     });
-    STACK_REGISTRY.span_closed(active.id, active.thread, new_leaf);
     let record = SpanRecord {
         id: active.id,
         parent: active.parent,
@@ -458,25 +448,40 @@ mod tests {
     }
 
     #[test]
-    fn nested_session_redirects_records_and_restores_the_outer_collector() {
+    fn nested_session_tees_records_and_restores_the_outer_collector() {
         let outer = Arc::new(InMemoryCollector::new());
         let session = session(outer.clone());
         span("before.nest").finish();
-        let inner = Arc::new(InMemoryCollector::new());
-        {
+        let inners: Vec<_> = (0..3).map(|_| Arc::new(InMemoryCollector::new())).collect();
+        for inner in &inners {
             // `session()` here would deadlock on the non-reentrant session
             // lock — the exact figures `--profile phases` shape.
             let _nested = nested_session(inner.clone());
             assert!(enabled(), "nesting keeps telemetry enabled");
-            span("inside.nest").finish();
+            let root = span("inside.nest");
+            std::thread::scope(|scope| {
+                scope.spawn(|| span("inside.worker").finish());
+            });
+            root.finish();
         }
         span("after.nest").finish();
         drop(session);
         assert!(!enabled(), "outer guard drop still uninstalls");
+        for inner in &inners {
+            let inner_names: Vec<_> = inner.spans().iter().map(|s| s.name).collect();
+            assert_eq!(
+                inner_names,
+                ["inside.worker", "inside.nest"],
+                "an inner collector sees only its own scope"
+            );
+        }
         let outer_names: Vec<_> = outer.spans().iter().map(|s| s.name).collect();
-        assert_eq!(outer_names, ["before.nest", "after.nest"]);
-        let inner_names: Vec<_> = inner.spans().iter().map(|s| s.name).collect();
-        assert_eq!(inner_names, ["inside.nest"]);
+        let mut expected = vec!["before.nest"];
+        for _round in 0..3 {
+            expected.extend(["inside.worker", "inside.nest"]);
+        }
+        expected.push("after.nest");
+        assert_eq!(outer_names, expected, "the outer collector sees every span");
     }
 
     #[test]

@@ -356,19 +356,16 @@ fn release_slot(pool: &Pool) {
 const MAX_REQUEST_LINE: usize = 1024;
 
 /// The `GET /health` body: a single JSON object with server uptime, the
-/// live session-progress gauges (0 when no session has set them), the
-/// serve-layer session gauges, and the profiler's process-lifetime sample
-/// totals.
+/// live session-progress gauges (0 when no session has set them) and the
+/// serve-layer session gauges.
 fn health_body(started: Instant) -> String {
     let snapshot = crate::metrics().snapshot();
     let gauge = |name: &str| snapshot.gauges.get(name).copied().unwrap_or(0.0);
-    let (samples, dropped) = crate::sample_totals();
     format!(
         concat!(
             "{{\"status\":\"ok\",\"uptime_s\":{:.3},\"session_active\":{},",
             "\"questions_asked\":{},\"witnesses_open\":{},",
-            "\"sessions\":{{\"active\":{},\"parked\":{}}},",
-            "\"profile\":{{\"samples\":{},\"dropped\":{}}}}}\n"
+            "\"sessions\":{{\"active\":{},\"parked\":{}}}}}\n"
         ),
         started.elapsed().as_secs_f64(),
         crate::enabled(),
@@ -376,8 +373,6 @@ fn health_body(started: Instant) -> String {
         gauge("session.witnesses_open"),
         gauge("sessions.active"),
         gauge("sessions.parked"),
-        samples,
-        dropped,
     )
 }
 
@@ -1152,7 +1147,7 @@ mod tests {
     }
 
     #[test]
-    fn health_reports_uptime_session_gauges_and_sample_totals() {
+    fn health_reports_uptime_and_session_gauges() {
         let collector = Arc::new(InMemoryCollector::new());
         let session = crate::session(collector);
         crate::gauge_add("session.questions_asked", 5.0);
@@ -1169,7 +1164,10 @@ mod tests {
         assert!(response.contains("\"witnesses_open\":2"));
         assert!(response.contains("\"sessions\":{\"active\":3,\"parked\":2}"));
         assert!(response.contains("\"uptime_s\":"));
-        assert!(response.contains("\"profile\":{\"samples\":"));
+        assert!(
+            response.contains("\"parked\":2}}\n"),
+            "the session gauges close the body: {response}"
+        );
         drop(server);
         drop(session);
     }

@@ -134,14 +134,9 @@ impl SessionTimeline {
     /// a parent's summed child time can exceed its own duration; self time
     /// saturates at zero there.
     pub fn attribution(&self) -> BTreeMap<&'static str, PhaseAttribution> {
-        let mut child_ns: BTreeMap<u64, u64> = BTreeMap::new();
-        let mut name_of: BTreeMap<u64, &'static str> = BTreeMap::new();
-        for s in &self.spans {
-            name_of.insert(s.id, s.name);
-            if let Some(p) = s.parent {
-                *child_ns.entry(p).or_insert(0) += s.duration_ns;
-            }
-        }
+        let child_ns = child_ns(&self.spans);
+        let name_of: BTreeMap<u64, &'static str> =
+            self.spans.iter().map(|s| (s.id, s.name)).collect();
         let mut out: BTreeMap<&'static str, PhaseAttribution> = BTreeMap::new();
         for s in &self.spans {
             let e = out.entry(s.name).or_default();
@@ -260,6 +255,18 @@ impl fmt::Display for SessionTimeline {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(&self.render())
     }
+}
+
+/// Summed durations of each span's direct children, by parent id: the
+/// time a span delegated, which its self time excludes.
+pub(crate) fn child_ns(spans: &[SpanRecord]) -> BTreeMap<u64, u64> {
+    let mut out: BTreeMap<u64, u64> = BTreeMap::new();
+    for s in spans {
+        if let Some(p) = s.parent {
+            *out.entry(p).or_insert(0) += s.duration_ns;
+        }
+    }
+    out
 }
 
 /// Format a nanosecond quantity at a human scale (ns/µs/ms/s).

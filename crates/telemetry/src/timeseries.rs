@@ -11,9 +11,9 @@
 //!
 //! Two tick modes, both driven through one global [`Watch`]:
 //!
-//! * **wall-clock** — a `qoco-watch` sampler thread (same
-//!   stop-flag/join pattern as the `qoco-profiler` thread) ticks every
-//!   `interval`; right for live dashboards.
+//! * **wall-clock** — a `qoco-watch` sampler thread (stopped by a flag
+//!   and joined on drop) ticks every `interval`; right for live
+//!   dashboards.
 //! * **logical** — [`watch_tick`] fires at every crowd-answer boundary
 //!   (hooked in `qoco-crowd`), one tick = one nominal second. Counter
 //!   values at answer boundaries are bit-identical across fresh and

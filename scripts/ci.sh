@@ -30,8 +30,8 @@ section "cargo test -q (tier-1)"
 # suites: the unit tests of data, query, engine, graph, crowd, core,
 # datasets, telemetry, bench and the shims, plus engine's
 # telemetry_counters and view_property, core's decision_provenance and
-# served_counters, telemetry's nested_profiler_repro, and bench's
-# phases_profile_repro, telemetry_noop_guard and telemetry_overhead_budget.
+# served_counters, and bench's phases_profile_repro, telemetry_noop_guard
+# and telemetry_overhead_budget.
 cargo test -q
 
 section "tests/cli.rs under 16 threads, 10 times (temp-dir isolation)"
@@ -266,38 +266,32 @@ diff "$work/explain-fresh.txt" "$work/explain-resumed.txt" \
 echo "decision provenance explains fresh and resumed sessions identically: OK"
 
 section "profiling smoke-run"
-# the Figure 1 session again, now under the sampling profiler: the
+# the Figure 1 session again, now folded into a span profile: the
 # flamegraph must be structurally valid and must contain the cleaning
-# phases as frames. The bare fixture cleans in about a millisecond, too
-# short for a 200 µs sampler to be sure of one sample, so 3,000 extra EU
-# teams with two Final wins each (identical in dirty and ground: 3,000
-# more correct answers to verify) stretch the session to about 50 ms,
-# about 30 ms of it in the cleaner rather than the simulated oracle.
-cp -r "$work/dirty" "$work/dirty-prof"
-cp -r "$work/ground" "$work/ground-prof"
-for i in $(seq -w 1 3000); do
-  printf 'T%s\tEU\n' "$i"
-done > "$work/prof-teams.tsv"
-for i in $(seq -w 1 3000); do
-  printf '01.01.%s\tT%s\tX%s\tFinal\t1:0\n02.02.%s\tT%s\tX%s\tFinal\t2:0\n' \
-    "$i" "$i" "$i" "$i" "$i" "$i"
-done > "$work/prof-games.tsv"
-for side in dirty-prof ground-prof; do
-  cat "$work/prof-teams.tsv" >> "$work/$side/Teams.tsv"
-  cat "$work/prof-games.tsv" >> "$work/$side/Games.tsv"
-done
+# phases as frames. The profile is exact (every closed span is in it), so
+# two runs of one session must fold the same set of stacks; only the
+# self-time weights may differ.
+fig1_script() {
+  printf '%s\n' \
+    'relation Games date winner runner_up stage result' \
+    'relation Teams country continent' \
+    "load $work/dirty" \
+    "ground $work/ground" \
+    'query Q1(x) :- Games(d1, x, y, "Final", u1), Games(d2, x, z, "Final", u2), Teams(x, "EU"), d1 != d2.' \
+    'clean Q1 qoco provenance' \
+    'quit'
+}
 flame="$work/session.svg"
-printf '%s\n' \
-  'relation Games date winner runner_up stage result' \
-  'relation Teams country continent' \
-  "load $work/dirty-prof" \
-  "ground $work/ground-prof" \
-  'query Q1(x) :- Games(d1, x, y, "Final", u1), Games(d2, x, z, "Final", u2), Teams(x, "EU"), d1 != d2.' \
-  'clean Q1 qoco provenance' \
-  'quit' \
-  | ./target/release/qoco-cli --profile "$flame" > /dev/null
+fig1_script | ./target/release/qoco-cli --profile "$flame" > /dev/null
 cargo run -q --release -p qoco-bench --bin qoco-bench -- \
   validate-flamegraph "$flame" --require-frame clean.session
+for run in a b; do
+  fig1_script | ./target/release/qoco-cli --profile "$work/$run.folded" > /dev/null
+done
+grep -q "clean.session" "$work/a.folded" \
+  || { echo "profile: no clean.session stack in $work/a.folded" >&2; exit 1; }
+diff <(cut -d' ' -f1 "$work/a.folded") <(cut -d' ' -f1 "$work/b.folded") \
+  || { echo "profile: two runs of one session folded different stacks (diff above)" >&2; exit 1; }
 # folded stacks of one sweep cell must name the eval phases, and the
 # folded → diff pipeline must round-trip
 folded="$work/cell.folded"

@@ -26,10 +26,11 @@
 //! * `--metrics-port <port>` — serve the live metrics registry in
 //!   Prometheus text format on `127.0.0.1:<port>/metrics` (port 0 picks
 //!   an ephemeral port; the bound address is printed to stderr).
-//! * `--profile <path>` — run the whole session under the in-process
-//!   sampling profiler and write the capture at exit: a self-contained
+//! * `--profile <path>` — fold the session's spans into a profile
+//!   weighted by self time and write it at exit: a self-contained
 //!   flamegraph SVG when the path ends in `.svg`, folded stack lines
-//!   (`clean.session;eval.assignments 412`) otherwise.
+//!   (`clean.session;eval.assignments 412000`, in nanoseconds) otherwise.
+//!   The profile is exact: every span that closed is in it.
 //! * `--watch-rules <file>` — load qoco-watch SLO/alert rules (one
 //!   `rule name: expr cmp threshold [for dur] => severity` per line) and
 //!   run the time-series watch for the whole session. Alert lifecycle
@@ -624,20 +625,19 @@ fn main() -> io::Result<()> {
     };
 
     // Assemble the collector pipeline: each requested exporter is one sink,
-    // fanned out when there is more than one. The metrics endpoint and the
-    // sampling profiler read the live global registry / span stacks, which
-    // only record under an installed session — so asking for either alone
+    // fanned out when there is more than one. The Chrome trace and the
+    // profile are built from the in-memory sink's spans. The metrics
+    // endpoint and the watch read the live global registry, which only
+    // records under an installed session — so asking for either alone
     // still installs a (discarded) in-memory sink.
     let jsonl = match &telemetry_path {
         Some(path) => Some(Arc::new(qoco::telemetry::JsonlCollector::create(path)?)),
         None => None,
     };
-    let needs_fallback_sink = (metrics_port.is_some()
-        || profile_path.is_some()
-        || watch_rules_path.is_some()
-        || watch_tick_spec.is_some())
-        && jsonl.is_none();
-    let in_memory = (trace_path.is_some() || needs_fallback_sink)
+    let needs_fallback_sink =
+        (metrics_port.is_some() || watch_rules_path.is_some() || watch_tick_spec.is_some())
+            && jsonl.is_none();
+    let in_memory = (trace_path.is_some() || profile_path.is_some() || needs_fallback_sink)
         .then(|| Arc::new(qoco::telemetry::InMemoryCollector::new()));
     let mut sinks: Vec<Arc<dyn qoco::telemetry::Collector>> = Vec::new();
     if let Some(c) = &jsonl {
@@ -653,9 +653,6 @@ fn main() -> io::Result<()> {
             qoco::telemetry::FanoutCollector::new(sinks),
         ))),
     };
-    let profiler = profile_path
-        .as_ref()
-        .map(|_| qoco::telemetry::Profiler::start(qoco::telemetry::DEFAULT_SAMPLE_INTERVAL));
     let _metrics_server = match metrics_port {
         Some(port) => {
             let server = qoco::telemetry::MetricsServer::start(&format!("127.0.0.1:{port}"))?;
@@ -712,8 +709,8 @@ fn main() -> io::Result<()> {
         }
         out.flush()?;
     }
-    if let (Some(path), Some(profiler)) = (&profile_path, profiler) {
-        let profile = profiler.stop();
+    if let (Some(path), Some(collector)) = (&profile_path, &in_memory) {
+        let profile = qoco::telemetry::Profile::from_spans(&collector.spans());
         let rendered = if path.ends_with(".svg") {
             profile.flamegraph_svg("qoco-cli session")
         } else {
@@ -721,8 +718,9 @@ fn main() -> io::Result<()> {
         };
         std::fs::write(path, rendered)?;
         eprintln!(
-            "profile: {} sample(s), {} dropped → {path}",
-            profile.samples, profile.dropped
+            "profile: {} stack(s), {} of span time → {path}",
+            profile.counts().len(),
+            qoco::telemetry::fmt_ns(profile.total)
         );
     }
     // Stop the watch before the final metrics snapshot: dropping the guard
