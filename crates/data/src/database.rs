@@ -13,12 +13,20 @@ use crate::schema::{RelId, Schema};
 use crate::tuple::{Fact, Tuple};
 use crate::value::Value;
 
-/// A database instance over a shared schema.
+/// A database instance over a shared schema. `Clone` is O(#relations):
+/// clones share each relation's storage and built indexes until they edit
+/// it (see [`Relation`]).
 #[derive(Debug, Clone)]
 pub struct Database {
     schema: Arc<Schema>,
     relations: Vec<Relation>,
 }
+
+// Sessions evaluate and clean on their own threads, sharing `&Database`.
+const _: fn() = || {
+    fn send_sync<T: Send + Sync>() {}
+    send_sync::<Database>();
+};
 
 impl Database {
     /// An empty instance of `schema`.
@@ -74,8 +82,19 @@ impl Database {
     /// Insert a fact after validating arity. Returns whether the database
     /// changed.
     pub fn insert(&mut self, fact: Fact) -> Result<bool, DataError> {
-        self.check(&fact)?;
+        self.check(fact.rel, &fact.tuple)?;
         Ok(self.relations[fact.rel.index()].insert(fact.tuple))
+    }
+
+    /// Insert many tuples into one relation: a bulk load. Every arity is
+    /// validated first, so on an error nothing is inserted; then the
+    /// relation takes them in one [`Extend`] (one store take, one reserve).
+    pub fn insert_all(&mut self, rel: RelId, tuples: Vec<Tuple>) -> Result<(), DataError> {
+        for t in &tuples {
+            self.check(rel, t)?;
+        }
+        self.relations[rel.index()].extend(tuples);
+        Ok(())
     }
 
     /// Insert a fact by relation name; convenient for loaders and tests.
@@ -86,7 +105,7 @@ impl Database {
 
     /// Remove a fact. Returns whether the database changed.
     pub fn remove(&mut self, fact: &Fact) -> Result<bool, DataError> {
-        self.check(fact)?;
+        self.check(fact.rel, &fact.tuple)?;
         Ok(self.relations[fact.rel.index()].remove(&fact.tuple))
     }
 
@@ -160,13 +179,13 @@ impl Database {
         dom
     }
 
-    fn check(&self, fact: &Fact) -> Result<(), DataError> {
-        let decl = self.schema.relation(fact.rel)?;
-        if decl.arity() != fact.tuple.arity() {
+    fn check(&self, rel: RelId, tuple: &Tuple) -> Result<(), DataError> {
+        let decl = self.schema.relation(rel)?;
+        if decl.arity() != tuple.arity() {
             return Err(DataError::ArityMismatch {
                 rel: decl.name().to_string(),
                 expected: decl.arity(),
-                got: fact.tuple.arity(),
+                got: tuple.arity(),
             });
         }
         Ok(())

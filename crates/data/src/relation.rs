@@ -20,10 +20,21 @@
 //! live tuples the arena compacts and *then* the cells reset, because
 //! compaction reassigns `TupleId`s (safe: the engine never holds ids
 //! across an edit).
+//!
+//! Relations are **copy-on-write**. The arena, membership map, epoch and
+//! index cells live in one store behind an `Arc`, so cloning a relation
+//! copies a pointer (and cloning a [`Database`](crate::Database) one per
+//! relation). Holders of a shared store see identical state, so a lazy
+//! index build by any of them serves all of them. The first effective
+//! edit through a holder copies the store for that holder alone, taking
+//! along the cells already built and building none; a no-op edit
+//! (inserting a present tuple, removing an absent one) never copies. The
+//! `eval.index_rebuilds` counter therefore counts builds actually
+//! performed: one per built cell of a store, not one per clone.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 use crate::tuple::Tuple;
 use crate::value::Value;
@@ -44,9 +55,17 @@ impl TupleId {
 }
 
 /// A set of tuples of a fixed arity backed by a tuple arena with pre-sorted
-/// per-column posting lists.
+/// per-column posting lists. `Clone` is O(1): clones share one store until
+/// one of them edits (see the module docs).
 #[derive(Debug, Default, Clone)]
 pub struct Relation {
+    store: Arc<Store>,
+    arity: usize,
+}
+
+/// Everything a [`Relation`] holds, shared between clones until an edit.
+#[derive(Debug, Default, Clone)]
+struct Store {
     /// Tuple arena; `live[i]` distinguishes live slots from tombstones.
     arena: Vec<Tuple>,
     live: Vec<bool>,
@@ -56,25 +75,23 @@ pub struct Relation {
     live_count: usize,
     /// Bumped on every effective mutation; see [`Relation::epoch`].
     epoch: u64,
-    /// Live ids sorted by tuple order; rebuilt lazily after mutations.
+    /// Live ids sorted by tuple order. Built on first read, then maintained
+    /// in place by edits; reset only by compaction.
     sorted_ids: OnceLock<Vec<TupleId>>,
     /// `indexes[col][value]` = ids of live tuples whose `col`-th value is
-    /// `value`, in tuple-sorted order. Rebuilt lazily after mutations.
+    /// `value`, in tuple-sorted order. Each column is built on its first
+    /// read, then maintained in place by edits; reset only by compaction.
     indexes: Vec<OnceLock<HashMap<Value, Vec<TupleId>>>>,
-    arity: usize,
 }
 
 impl Relation {
     /// Create an empty relation of the given arity.
     pub fn new(arity: usize) -> Self {
         Relation {
-            arena: Vec::new(),
-            live: Vec::new(),
-            ids: HashMap::new(),
-            live_count: 0,
-            epoch: 0,
-            sorted_ids: OnceLock::new(),
-            indexes: (0..arity).map(|_| OnceLock::new()).collect(),
+            store: Arc::new(Store {
+                indexes: (0..arity).map(|_| OnceLock::new()).collect(),
+                ..Store::default()
+            }),
             arity,
         }
     }
@@ -86,24 +103,24 @@ impl Relation {
 
     /// Number of (live) tuples.
     pub fn len(&self) -> usize {
-        self.live_count
+        self.store.live_count
     }
 
     /// True if the relation holds no tuples.
     pub fn is_empty(&self) -> bool {
-        self.live_count == 0
+        self.store.live_count == 0
     }
 
     /// Membership test.
     pub fn contains(&self, t: &Tuple) -> bool {
-        self.ids.contains_key(t)
+        self.store.ids.contains_key(t)
     }
 
     /// The edit epoch: bumped on every effective insert/remove. Readers can
     /// cache derived state keyed by `(relation, epoch)` and know it is
     /// stale exactly when the epoch moved.
     pub fn epoch(&self) -> u64 {
-        self.epoch
+        self.store.epoch
     }
 
     /// Insert a tuple. Returns `true` if the relation changed
@@ -119,46 +136,40 @@ impl Relation {
             self.arity,
             "tuple arity must match relation arity"
         );
-        // one hash of the tuple, whether it is new or already present
-        let Entry::Vacant(slot) = self.ids.entry(t) else {
-            return false;
+        // A unique store (every bulk load) is edited as is; a shared one
+        // is copied only if the edit is effective.
+        let store = match Arc::get_mut(&mut self.store) {
+            Some(store) => store,
+            None => {
+                if self.store.ids.contains_key(&t) {
+                    return false;
+                }
+                Arc::make_mut(&mut self.store)
+            }
         };
-        let id = TupleId(u32::try_from(self.arena.len()).expect("relation exceeds u32 slots"));
-        self.arena.push(slot.key().clone());
-        slot.insert(id);
-        self.live.push(true);
-        self.live_count += 1;
-        self.epoch += 1;
-        self.index_insert(id);
-        true
-    }
-
-    /// Reserve room for `additional` more tuples in the arena, the live
-    /// bitmap and the membership map, so a bulk load grows each once.
-    pub fn reserve(&mut self, additional: usize) {
-        self.arena.reserve(additional);
-        self.live.reserve(additional);
-        self.ids.reserve(additional);
+        store.insert(t)
     }
 
     /// Remove a tuple. Returns `true` if the relation changed.
     pub fn remove(&mut self, t: &Tuple) -> bool {
-        let Some(id) = self.ids.remove(t) else {
-            return false;
+        let store = match Arc::get_mut(&mut self.store) {
+            Some(store) => store,
+            None => {
+                if !self.store.ids.contains_key(t) {
+                    return false;
+                }
+                Arc::make_mut(&mut self.store)
+            }
         };
-        self.index_remove(id);
-        self.live[id.index()] = false;
-        self.live_count -= 1;
-        self.epoch += 1;
-        self.maybe_compact();
-        true
+        store.remove(t)
     }
 
     /// Iterate over all live tuples in arena (insertion) order.
     pub fn iter(&self) -> impl Iterator<Item = &Tuple> {
-        self.arena
+        self.store
+            .arena
             .iter()
-            .zip(self.live.iter())
+            .zip(self.store.live.iter())
             .filter_map(|(t, &alive)| alive.then_some(t))
     }
 
@@ -166,7 +177,7 @@ impl Relation {
     pub fn sorted(&self) -> Vec<Tuple> {
         self.sorted_ids()
             .iter()
-            .map(|&id| self.arena[id.index()].clone())
+            .map(|&id| self.store.arena[id.index()].clone())
             .collect()
     }
 
@@ -178,24 +189,18 @@ impl Relation {
     /// mutations are a logic error).
     #[inline]
     pub fn tuple(&self, id: TupleId) -> &Tuple {
-        debug_assert!(self.live[id.index()], "stale TupleId used after an edit");
-        &self.arena[id.index()]
+        debug_assert!(
+            self.store.live[id.index()],
+            "stale TupleId used after an edit"
+        );
+        &self.store.arena[id.index()]
     }
 
-    /// All live tuple ids in tuple-sorted order (lazily rebuilt after
-    /// mutations). The backbone of every posting list, and the engine's
-    /// full-scan path.
+    /// All live tuple ids in tuple-sorted order (built on first use, then
+    /// maintained in place across edits). The backbone of every posting
+    /// list, and the engine's full-scan path.
     pub fn sorted_ids(&self) -> &[TupleId] {
-        self.sorted_ids.get_or_init(|| {
-            let mut ids: Vec<TupleId> = self
-                .live
-                .iter()
-                .enumerate()
-                .filter_map(|(i, &alive)| alive.then_some(TupleId(i as u32)))
-                .collect();
-            ids.sort_unstable_by(|a, b| self.arena[a.index()].cmp(&self.arena[b.index()]));
-            ids
-        })
+        self.store.sorted_ids()
     }
 
     /// Ids of tuples whose `col`-th value equals `value`, in tuple-sorted
@@ -214,11 +219,6 @@ impl Relation {
     /// bumping the `eval.probe_hits` counter: for callers that tally their
     /// own hits (the query engine publishes one count per evaluation).
     pub fn posting(&self, col: usize, value: &Value) -> &[TupleId] {
-        assert!(
-            col < self.arity,
-            "column {col} out of range for arity {}",
-            self.arity
-        );
         self.index(col).get(value).map_or(&[], Vec::as_slice)
     }
 
@@ -243,11 +243,6 @@ impl Relation {
     /// Number of distinct values in a column (builds that column's index
     /// directly — no sentinel probe).
     pub fn distinct_in_column(&self, col: usize) -> usize {
-        assert!(
-            col < self.arity,
-            "column {col} out of range for arity {}",
-            self.arity
-        );
         self.index(col).len()
     }
 
@@ -255,12 +250,39 @@ impl Relation {
     /// reads (and edits, which maintain built cells in place) never pay a
     /// lazy build.
     pub fn ensure_indexes(&self) {
-        self.sorted_ids();
+        self.store.sorted_ids();
         for col in 0..self.arity {
-            self.index(col);
+            self.store.index(col);
         }
     }
 
+    fn index(&self, col: usize) -> &HashMap<Value, Vec<TupleId>> {
+        assert!(
+            col < self.arity,
+            "column {col} out of range for arity {}",
+            self.arity
+        );
+        self.store.index(col)
+    }
+}
+
+impl Store {
+    fn sorted_ids(&self) -> &[TupleId] {
+        self.sorted_ids.get_or_init(|| {
+            let mut ids: Vec<TupleId> = self
+                .live
+                .iter()
+                .enumerate()
+                .filter_map(|(i, &alive)| alive.then_some(TupleId(i as u32)))
+                .collect();
+            ids.sort_unstable_by(|a, b| self.arena[a.index()].cmp(&self.arena[b.index()]));
+            ids
+        })
+    }
+
+    /// The column's index, built on first use. `eval.index_rebuilds`
+    /// counts builds actually performed: a store shared by clones builds
+    /// each cell once for all of them.
     fn index(&self, col: usize) -> &HashMap<Value, Vec<TupleId>> {
         self.indexes[col].get_or_init(|| {
             qoco_telemetry::counter_add("eval.index_rebuilds", 1);
@@ -276,12 +298,39 @@ impl Relation {
         })
     }
 
+    fn insert(&mut self, t: Tuple) -> bool {
+        // one hash of the tuple, whether it is new or already present
+        let Entry::Vacant(slot) = self.ids.entry(t) else {
+            return false;
+        };
+        let id = TupleId(u32::try_from(self.arena.len()).expect("relation exceeds u32 slots"));
+        self.arena.push(slot.key().clone());
+        slot.insert(id);
+        self.live.push(true);
+        self.live_count += 1;
+        self.epoch += 1;
+        self.index_insert(id);
+        true
+    }
+
+    fn remove(&mut self, t: &Tuple) -> bool {
+        let Some(id) = self.ids.remove(t) else {
+            return false;
+        };
+        self.index_remove(id);
+        self.live[id.index()] = false;
+        self.live_count -= 1;
+        self.epoch += 1;
+        self.maybe_compact();
+        true
+    }
+
     /// Splice a freshly inserted tuple into every *built* index cell.
     /// Unbuilt cells are left alone — they materialize lazily from the
     /// arena and need no maintenance. Postings stay tuple-sorted because
     /// the insertion point comes from a binary search by tuple order.
     fn index_insert(&mut self, id: TupleId) {
-        let Relation {
+        let Store {
             arena,
             sorted_ids,
             indexes,
@@ -309,7 +358,7 @@ impl Relation {
     /// postings are dropped so `distinct_in_column` and zero-length
     /// [`posting_len`](Relation::posting_len) checks stay exact.
     fn index_remove(&mut self, id: TupleId) {
-        let Relation {
+        let Store {
             arena,
             sorted_ids,
             indexes,
@@ -339,7 +388,8 @@ impl Relation {
     /// Reclaim tombstoned slots once they outnumber live tuples. Ids are
     /// reassigned, so every built index cell resets here (the one place
     /// in-place maintenance cannot survive); callers never hold ids across
-    /// a `&mut` operation.
+    /// a `&mut` operation. Runs only on a store this relation owns alone,
+    /// so no clone loses its cells.
     fn maybe_compact(&mut self) {
         let dead = self.arena.len() - self.live_count;
         if dead <= 64 || dead <= self.live_count {
@@ -372,10 +422,35 @@ impl FromIterator<Tuple> for Relation {
         let mut it = iter.into_iter().peekable();
         let arity = it.peek().map(|t| t.arity()).unwrap_or(0);
         let mut rel = Relation::new(arity);
-        for t in it {
-            rel.insert(t);
-        }
+        rel.extend(it);
         rel
+    }
+}
+
+impl Extend<Tuple> for Relation {
+    /// Insert every tuple: a bulk load. The store is taken for this
+    /// relation alone once, copied first if it is shared (even when every
+    /// tuple is already present), and grown once by the iterator's lower
+    /// size bound, so each tuple then costs one hash and no atomic
+    /// uniqueness check.
+    ///
+    /// # Panics
+    /// Panics on a tuple of the wrong arity, like [`Relation::insert`].
+    fn extend<I: IntoIterator<Item = Tuple>>(&mut self, tuples: I) {
+        let tuples = tuples.into_iter();
+        let store = Arc::make_mut(&mut self.store);
+        let additional = tuples.size_hint().0;
+        store.arena.reserve(additional);
+        store.live.reserve(additional);
+        store.ids.reserve(additional);
+        for t in tuples {
+            assert_eq!(
+                t.arity(),
+                self.arity,
+                "tuple arity must match relation arity"
+            );
+            store.insert(t);
+        }
     }
 }
 
@@ -393,14 +468,13 @@ mod tests {
     }
 
     #[test]
-    fn reserve_changes_no_contents() {
+    fn extend_inserts_each_new_tuple_once() {
         let mut r = Relation::new(2);
         r.insert(tup!["ESP", "EU"]);
         let epoch = r.epoch();
-        r.reserve(100);
-        assert_eq!((r.len(), r.epoch()), (1, epoch));
-        assert!(r.insert(tup!["GER", "EU"]));
-        assert!(!r.insert(tup!["ESP", "EU"]));
+        r.extend([tup!["GER", "EU"], tup!["ESP", "EU"], tup!["GER", "EU"]]);
+        assert_eq!((r.len(), r.epoch()), (2, epoch + 1));
+        assert!(!r.insert(tup!["GER", "EU"]));
         assert_eq!(r.sorted(), vec![tup!["ESP", "EU"], tup!["GER", "EU"]]);
     }
 
@@ -564,6 +638,58 @@ mod tests {
         r.remove(&tup!["b", "y"]);
         assert_eq!(r.distinct_in_column(1), 1);
         assert_eq!(r.posting_len(1, &Value::text("y")), 0);
+    }
+
+    #[test]
+    fn clones_share_one_store_until_an_effective_edit() {
+        let mut a: Relation = (0..10i64).map(|i| tup![i, i % 2]).collect();
+        let mut b = a.clone();
+        assert!(Arc::ptr_eq(&a.store, &b.store));
+        assert!(!b.insert(tup![3i64, 1i64]));
+        assert!(!b.remove(&tup![42i64, 0i64]));
+        assert!(
+            Arc::ptr_eq(&a.store, &b.store),
+            "a no-op edit copies nothing"
+        );
+        assert!(b.insert(tup![42i64, 0i64]));
+        assert!(!Arc::ptr_eq(&a.store, &b.store));
+        assert_eq!((a.len(), b.len()), (10, 11));
+        assert_eq!(b.epoch(), a.epoch() + 1);
+        // the source is unique again: it edits in place
+        let store = Arc::as_ptr(&a.store);
+        assert!(a.remove(&tup![0i64, 0i64]));
+        assert_eq!(Arc::as_ptr(&a.store), store);
+    }
+
+    #[test]
+    fn the_first_edit_copies_built_cells_and_builds_none() {
+        let a: Relation = (0..10i64).map(|i| tup![i, i % 2]).collect();
+        assert_eq!(a.posting_len(1, &Value::int(0)), 5); // builds column 1 only
+        let mut b = a.clone();
+        assert!(b.insert(tup![10i64, 0i64]));
+        assert!(b.store.sorted_ids.get().is_some());
+        assert!(b.store.indexes[0].get().is_none(), "unbuilt stays unbuilt");
+        assert_eq!(b.posting_len(1, &Value::int(0)), 6);
+        assert_eq!(a.posting_len(1, &Value::int(0)), 5);
+        assert!(a.store.indexes[0].get().is_none());
+    }
+
+    #[test]
+    fn compacting_a_copy_leaves_the_source_intact() {
+        let a: Relation = (0..200i64).map(|i| tup![i]).collect();
+        a.ensure_indexes();
+        let mut b = a.clone();
+        for i in 0..150i64 {
+            b.remove(&tup![i]);
+        }
+        assert!(b.store.arena.len() < 200, "the copy compacted");
+        assert_eq!((a.len(), a.store.arena.len()), (200, 200));
+        assert_eq!(a.probe(0, &Value::int(7)).len(), 1);
+        assert_eq!(a.distinct_in_column(0), 200);
+        assert_eq!(
+            b.sorted(),
+            (150..200i64).map(|i| tup![i]).collect::<Vec<_>>()
+        );
     }
 
     #[test]

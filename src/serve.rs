@@ -1150,6 +1150,47 @@ mod tests {
         std::fs::remove_dir_all(reg.store.root()).ok();
     }
 
+    /// The machine keeps its spec's database while the cleaner edits a
+    /// clone of it; the two share every relation until the cleaner's
+    /// first edit of it, which must copy, never write through.
+    #[test]
+    fn a_cleaners_edits_never_reach_the_retained_spec() {
+        let body = "{\"example\":\"figure1\"}";
+        let decoded = decode_spec(body).unwrap().dirty;
+        let store = tmp_store("isolation");
+        let root = store.root().to_path_buf();
+        let reg = SessionRegistry::open(store, ServeOptions::default()).unwrap();
+        post(&reg, "/sessions", body);
+        drive(&reg, "s1");
+        let report = get(&reg, "/sessions/s1/report");
+        assert!(report.body.contains("\"op\":\"delete\""), "{}", report.body);
+        let (retained, epoch, cleaned) = reg
+            .with_session("s1", |m, _| {
+                let cleaned = m.finished().expect("finished").cleaned.sorted_facts();
+                (
+                    m.spec().dirty.sorted_facts(),
+                    m.spec().dirty.epoch(),
+                    cleaned,
+                )
+            })
+            .unwrap();
+        assert_eq!(retained, decoded.sorted_facts());
+        assert_eq!(epoch, decoded.epoch());
+        assert_ne!(cleaned, retained, "the cleaner edited its own copy");
+        drop(reg);
+        // rehydrated from the store, the finished session reports the
+        // same bytes under the bumped epoch
+        let reg =
+            SessionRegistry::open(SessionStore::open(&root).unwrap(), ServeOptions::default())
+                .unwrap();
+        let again = get(&reg, "/sessions/s1/report");
+        assert_eq!(
+            again.body,
+            report.body.replacen("\"epoch\":1,", "\"epoch\":2,", 1)
+        );
+        std::fs::remove_dir_all(&root).ok();
+    }
+
     #[test]
     fn inline_specs_round_trip_through_the_api() {
         let reg = SessionRegistry::open(tmp_store("inline"), ServeOptions::default()).unwrap();
