@@ -111,6 +111,14 @@ where
         .iter()
         .map(|q| MaterializedView::new(q.clone(), db))
         .collect();
+    // Edits reach only the relations the view names. If `db` is a clone,
+    // they share their storage with it: take this session's own copies
+    // now, after the first evaluation built the indexes it reads into the
+    // shared storage, so the copy is paid before the first question and
+    // not in the wait after whichever answer leads to the first edit.
+    for atom in disjuncts.iter().flat_map(|q| q.atoms()) {
+        db.relation_mut(atom.rel).unshare();
+    }
 
     loop {
         // resynchronize if the caller's database moved out of band

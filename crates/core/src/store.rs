@@ -64,7 +64,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use qoco_crowd::JournalRecord;
-use qoco_data::{Database, Schema, TextInterner, Tuple, Value};
+use qoco_data::{Database, Fact, Schema, TextInterner, Tuple, Value};
 use qoco_query::parse_query;
 use qoco_telemetry::json::{push_json_str, Json, ParseError, Reader};
 
@@ -286,7 +286,7 @@ fn decode_schema(json: &Json) -> Result<Arc<Schema>, String> {
 
 /// Read the `rows` object, `{"Rel":[[cell, …], …], …}`, into `dirty`
 /// without building JSON values. A relation's rows are collected first so
-/// that the relation can load all of them at once.
+/// that the relation can reserve room for all of them at once.
 fn decode_rows(
     r: &mut Reader,
     dirty: &mut Database,
@@ -298,6 +298,7 @@ fn decode_rows(
     r.begin_object()?;
     let schema = dirty.schema().clone();
     let mut named: BTreeSet<Cow<str>> = BTreeSet::new();
+    let mut tuples = Vec::new();
     while let Some(name) = r.next_key()? {
         if named.contains(&name) {
             return Err(format!("rows for {name} appear twice").into());
@@ -307,7 +308,6 @@ fn decode_rows(
         }
         r.begin_array()?;
         let mut rel = None;
-        let mut tuples = Vec::new();
         while r.next_item()? {
             let id = match rel {
                 Some(id) => id,
@@ -324,7 +324,10 @@ fn decode_rows(
             tuples.push(Tuple::new(cells));
         }
         if let Some(rel) = rel {
-            dirty.insert_all(rel, tuples).map_err(|e| e.to_string())?;
+            dirty.relation_mut(rel).reserve(tuples.len());
+            for t in tuples.drain(..) {
+                dirty.insert(Fact::new(rel, t)).map_err(|e| e.to_string())?;
+            }
         }
         named.insert(name);
     }

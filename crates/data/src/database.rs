@@ -82,19 +82,8 @@ impl Database {
     /// Insert a fact after validating arity. Returns whether the database
     /// changed.
     pub fn insert(&mut self, fact: Fact) -> Result<bool, DataError> {
-        self.check(fact.rel, &fact.tuple)?;
+        self.check(&fact)?;
         Ok(self.relations[fact.rel.index()].insert(fact.tuple))
-    }
-
-    /// Insert many tuples into one relation: a bulk load. Every arity is
-    /// validated first, so on an error nothing is inserted; then the
-    /// relation takes them in one [`Extend`] (one store take, one reserve).
-    pub fn insert_all(&mut self, rel: RelId, tuples: Vec<Tuple>) -> Result<(), DataError> {
-        for t in &tuples {
-            self.check(rel, t)?;
-        }
-        self.relations[rel.index()].extend(tuples);
-        Ok(())
     }
 
     /// Insert a fact by relation name; convenient for loaders and tests.
@@ -105,7 +94,7 @@ impl Database {
 
     /// Remove a fact. Returns whether the database changed.
     pub fn remove(&mut self, fact: &Fact) -> Result<bool, DataError> {
-        self.check(fact.rel, &fact.tuple)?;
+        self.check(fact)?;
         Ok(self.relations[fact.rel.index()].remove(&fact.tuple))
     }
 
@@ -179,13 +168,13 @@ impl Database {
         dom
     }
 
-    fn check(&self, rel: RelId, tuple: &Tuple) -> Result<(), DataError> {
-        let decl = self.schema.relation(rel)?;
-        if decl.arity() != tuple.arity() {
+    fn check(&self, fact: &Fact) -> Result<(), DataError> {
+        let decl = self.schema.relation(fact.rel)?;
+        if decl.arity() != fact.tuple.arity() {
             return Err(DataError::ArityMismatch {
                 rel: decl.name().to_string(),
                 expected: decl.arity(),
-                got: tuple.arity(),
+                got: fact.tuple.arity(),
             });
         }
         Ok(())

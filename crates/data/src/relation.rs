@@ -30,7 +30,9 @@
 //! along the cells already built and building none; a no-op edit
 //! (inserting a present tuple, removing an absent one) never copies. The
 //! `eval.index_rebuilds` counter therefore counts builds actually
-//! performed: one per built cell of a store, not one per clone.
+//! performed: one per built cell of a store, not one per clone. A holder
+//! that knows it will edit can take its copy earlier, at a time of its
+//! choosing, with [`Relation::unshare`].
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -136,32 +138,47 @@ impl Relation {
             self.arity,
             "tuple arity must match relation arity"
         );
-        // A unique store (every bulk load) is edited as is; a shared one
-        // is copied only if the edit is effective.
-        let store = match Arc::get_mut(&mut self.store) {
-            Some(store) => store,
-            None => {
-                if self.store.ids.contains_key(&t) {
-                    return false;
-                }
-                Arc::make_mut(&mut self.store)
-            }
-        };
-        store.insert(t)
+        self.store_for(&t, true)
+            .is_some_and(|store| store.insert(t))
+    }
+
+    /// Reserve room for `additional` more tuples in the arena, the live
+    /// bitmap and the membership map, so a bulk load grows each once. A
+    /// hint only: a shared store is left as it is.
+    pub fn reserve(&mut self, additional: usize) {
+        if let Some(store) = Arc::get_mut(&mut self.store) {
+            store.arena.reserve(additional);
+            store.live.reserve(additional);
+            store.ids.reserve(additional);
+        }
     }
 
     /// Remove a tuple. Returns `true` if the relation changed.
     pub fn remove(&mut self, t: &Tuple) -> bool {
-        let store = match Arc::get_mut(&mut self.store) {
-            Some(store) => store,
-            None => {
-                if !self.store.ids.contains_key(t) {
-                    return false;
-                }
-                Arc::make_mut(&mut self.store)
-            }
-        };
-        store.remove(t)
+        self.store_for(t, false)
+            .is_some_and(|store| store.remove(t))
+    }
+
+    /// Take this relation's store for it alone now: copy it if it is
+    /// shared, with the cells already built, so no later edit copies.
+    /// Contents, epoch and built cells are unchanged. For callers that
+    /// know they will edit and would rather pay the copy up front.
+    pub fn unshare(&mut self) {
+        Arc::make_mut(&mut self.store);
+    }
+
+    /// The store an edit of `t` writes to, or `None` if the edit is a
+    /// no-op on a shared store: `t` is present and `present_is_noop`
+    /// (an insert), or absent and not (a remove). A unique store (every
+    /// bulk load) is returned as is, with no membership test; a shared
+    /// one is copied only for an effective edit.
+    fn store_for(&mut self, t: &Tuple, present_is_noop: bool) -> Option<&mut Store> {
+        // The `Arc` is private and never downgraded, so one strong count
+        // means unique; `make_mut` then takes the store without a copy.
+        if Arc::strong_count(&self.store) > 1 && self.store.ids.contains_key(t) == present_is_noop {
+            return None;
+        }
+        Some(Arc::make_mut(&mut self.store))
     }
 
     /// Iterate over all live tuples in arena (insertion) order.
@@ -422,35 +439,10 @@ impl FromIterator<Tuple> for Relation {
         let mut it = iter.into_iter().peekable();
         let arity = it.peek().map(|t| t.arity()).unwrap_or(0);
         let mut rel = Relation::new(arity);
-        rel.extend(it);
-        rel
-    }
-}
-
-impl Extend<Tuple> for Relation {
-    /// Insert every tuple: a bulk load. The store is taken for this
-    /// relation alone once, copied first if it is shared (even when every
-    /// tuple is already present), and grown once by the iterator's lower
-    /// size bound, so each tuple then costs one hash and no atomic
-    /// uniqueness check.
-    ///
-    /// # Panics
-    /// Panics on a tuple of the wrong arity, like [`Relation::insert`].
-    fn extend<I: IntoIterator<Item = Tuple>>(&mut self, tuples: I) {
-        let tuples = tuples.into_iter();
-        let store = Arc::make_mut(&mut self.store);
-        let additional = tuples.size_hint().0;
-        store.arena.reserve(additional);
-        store.live.reserve(additional);
-        store.ids.reserve(additional);
-        for t in tuples {
-            assert_eq!(
-                t.arity(),
-                self.arity,
-                "tuple arity must match relation arity"
-            );
-            store.insert(t);
+        for t in it {
+            rel.insert(t);
         }
+        rel
     }
 }
 
@@ -468,13 +460,14 @@ mod tests {
     }
 
     #[test]
-    fn extend_inserts_each_new_tuple_once() {
+    fn reserve_changes_no_contents() {
         let mut r = Relation::new(2);
         r.insert(tup!["ESP", "EU"]);
         let epoch = r.epoch();
-        r.extend([tup!["GER", "EU"], tup!["ESP", "EU"], tup!["GER", "EU"]]);
-        assert_eq!((r.len(), r.epoch()), (2, epoch + 1));
-        assert!(!r.insert(tup!["GER", "EU"]));
+        r.reserve(100);
+        assert_eq!((r.len(), r.epoch()), (1, epoch));
+        assert!(r.insert(tup!["GER", "EU"]));
+        assert!(!r.insert(tup!["ESP", "EU"]));
         assert_eq!(r.sorted(), vec![tup!["ESP", "EU"], tup!["GER", "EU"]]);
     }
 
@@ -672,6 +665,24 @@ mod tests {
         assert_eq!(b.posting_len(1, &Value::int(0)), 6);
         assert_eq!(a.posting_len(1, &Value::int(0)), 5);
         assert!(a.store.indexes[0].get().is_none());
+    }
+
+    #[test]
+    fn unshare_copies_once_and_changes_nothing_visible() {
+        let a: Relation = (0..10i64).map(|i| tup![i, i % 2]).collect();
+        assert_eq!(a.posting_len(1, &Value::int(1)), 5);
+        let mut b = a.clone();
+        b.unshare();
+        assert!(!Arc::ptr_eq(&a.store, &b.store));
+        assert_eq!((b.epoch(), b.sorted()), (a.epoch(), a.sorted()));
+        assert!(b.store.indexes[1].get().is_some(), "built cells come along");
+        assert!(b.store.indexes[0].get().is_none());
+        // unique now: a second call and the next edit copy nothing
+        let store = Arc::as_ptr(&b.store);
+        b.unshare();
+        assert!(b.insert(tup![10i64, 1i64]));
+        assert_eq!(Arc::as_ptr(&b.store), store);
+        assert_eq!((a.len(), b.posting_len(1, &Value::int(1))), (10, 6));
     }
 
     #[test]

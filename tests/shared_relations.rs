@@ -46,13 +46,13 @@ fn posting_tuples(rel: &Relation, col: usize, v: &Value) -> Vec<Tuple> {
 }
 
 /// Compare `rel` with a relation freshly built from `model`. Reads go
-/// through a private copy of `rel`'s store (`extend` takes the store for
-/// its holder alone, even with nothing to add), so the cells they build
-/// never reach `rel` and the next step still sees `rel`'s cells as built
-/// or unbuilt as they were.
+/// through a private copy of `rel`'s store, which takes along the cells
+/// `rel` has built (and maintained), so the cells the reads build never
+/// reach `rel` and the next step still sees `rel`'s cells as built or
+/// unbuilt as they were.
 fn check(rel: &Relation, model: &BTreeSet<Tuple>) -> Result<(), TestCaseError> {
     let mut copy = rel.clone();
-    copy.extend(std::iter::empty());
+    copy.unshare();
     let mut fresh = Relation::new(2);
     for t in model {
         fresh.insert(t.clone());
