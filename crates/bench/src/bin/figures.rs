@@ -6,8 +6,8 @@
 //! ```
 //!
 //! Targets: fig3a fig3b fig3c fig3d fig3e fig3f fig4 dbgroup
-//!          ablation-hs ablation-umhs ablation-heur sweep-clean phases
-//!          watch all
+//!          ablation-hs ablation-umhs ablation-heur ablation-composite
+//!          sweep-clean sweep-error phases watch work all
 //!
 //! `--telemetry <path>` (or the `QOCO_TELEMETRY` environment variable)
 //! streams a JSON-lines telemetry export of the whole run — every figure's
@@ -17,8 +17,8 @@
 //! `--profile <path>` folds the spans of the whole regeneration into a
 //! profile weighted by self time: a flamegraph SVG when the path ends in
 //! `.svg`, folded stack lines otherwise. Targets that capture a timeline of
-//! their own (`phases`, `watch`) nest inside the run's session, so their
-//! spans reach both the export and the profile.
+//! their own (`phases`, `watch`, `work`) nest inside the run's session, so
+//! their spans reach both the export and the profile.
 
 use std::sync::Arc;
 
@@ -27,7 +27,7 @@ use qoco_telemetry::{Collector, FanoutCollector, InMemoryCollector, JsonlCollect
 use qoco_bench::{
     ablation_composite, ablation_heuristics, ablation_hitting_set, ablation_umhs, dbgroup_case,
     fig3a, fig3b, fig3c, fig3d, fig3e, fig3f, fig4, phase_breakdown, sweep_cleanliness,
-    sweep_error_rate, watch_optimality, Experiments,
+    sweep_error_rate, watch_optimality, work_counts, Experiments,
 };
 
 fn main() {
@@ -105,6 +105,7 @@ fn main() {
             "sweep-error",
             "phases",
             "watch",
+            "work",
         ]
     } else {
         args.iter().map(|s| s.as_str()).collect()
@@ -132,6 +133,7 @@ fn main() {
             "sweep-error" => sweep_error_rate(ex.as_ref().expect("soccer context")),
             "phases" => phase_breakdown(ex.as_ref().expect("soccer context")),
             "watch" => watch_optimality(ex.as_ref().expect("soccer context")),
+            "work" => work_counts(ex.as_ref().expect("soccer context")),
             other => {
                 eprintln!("unknown target `{other}`; see --help text in the source header");
                 std::process::exit(2);

@@ -6,7 +6,8 @@
 //! Random baselines are averaged over several seeds (the paper plots single
 //! runs; averaging just stabilizes the text output).
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
 
 use qoco_core::{
     clean_view, crowd_remove_wrong_answer, crowd_remove_wrong_answer_composite,
@@ -14,13 +15,14 @@ use qoco_core::{
     RandomSelector, ResponsibilitySelector, SplitStrategyKind, TrustSelector, TupleSelector,
 };
 use qoco_crowd::{ImperfectOracle, MajorityCrowd, PerfectOracle, SingleExpert};
-use qoco_data::{Database, Fact};
+use qoco_data::{tup, Database, Edit, Fact, Schema};
 use qoco_datasets::{
     dbgroup_queries, generate_dbgroup, generate_soccer, inject_noise, plant_missing_answers,
     plant_mixed, plant_wrong_answers, soccer_queries, DbGroupConfig, NoiseSpec, SoccerConfig,
 };
-use qoco_engine::{answer_set, witnesses_for_answer};
-use qoco_query::ConjunctiveQuery;
+use qoco_engine::{answer_set, witnesses_for_answer, MaterializedView};
+use qoco_query::{parse_query, ConjunctiveQuery};
+use qoco_telemetry::{InMemoryCollector, MetricsSnapshot};
 
 use crate::table::Table;
 
@@ -785,20 +787,12 @@ pub fn phase_breakdown(ex: &Experiments) -> Table {
     let q = ex.q(3);
     let planted = plant_mixed(q, &ex.ground, 3, 3, 33);
     let mut d = planted.db;
-    let collector = std::sync::Arc::new(qoco_telemetry::InMemoryCollector::new());
-    let timeline = {
-        // The figures binary may already hold a session guard around all
-        // targets (--telemetry / --profile); `session()` would deadlock on
-        // the non-reentrant session lock, so nest inside it instead.
-        let nested = qoco_telemetry::enabled();
-        let _nested_guard = nested.then(|| qoco_telemetry::nested_session(collector.clone()));
-        let _session_guard = (!nested).then(|| qoco_telemetry::session(collector.clone()));
+    let ((), run) = traced(|| {
         let mut crowd = SingleExpert::new(PerfectOracle::new(ex.ground.clone()));
-        let report = clean_view(q, &mut d, &mut crowd, CleaningConfig::default())
+        clean_view(q, &mut d, &mut crowd, CleaningConfig::default())
             .expect("perfect oracle converges");
-        drop(report);
-        collector.timeline(Vec::new(), qoco_telemetry::metrics().snapshot())
-    };
+    });
+    let timeline = run.collector.timeline(Vec::new(), run.counters);
     let session_ns = timeline
         .phase_totals()
         .get("clean.session")
@@ -838,22 +832,15 @@ pub fn watch_optimality(ex: &Experiments) -> Table {
     let q = ex.q(3);
     let planted = plant_mixed(q, &ex.ground, 3, 3, 33);
     let mut d = planted.db;
-    let collector = std::sync::Arc::new(qoco_telemetry::InMemoryCollector::new());
-    let watch = {
-        // Same nesting dance as phase_breakdown: the figures binary may
-        // already hold the session guard.
-        let nested = qoco_telemetry::enabled();
-        let _nested_guard = nested.then(|| qoco_telemetry::nested_session(collector.clone()));
-        let _session_guard = (!nested).then(|| qoco_telemetry::session(collector.clone()));
+    let (watch, _) = traced(|| {
         let guard = qoco_telemetry::start_watch(Vec::new(), qoco_telemetry::WatchTick::Logical);
         let mut crowd = SingleExpert::new(PerfectOracle::new(ex.ground.clone()));
-        let report = clean_view(q, &mut d, &mut crowd, CleaningConfig::default())
+        clean_view(q, &mut d, &mut crowd, CleaningConfig::default())
             .expect("perfect oracle converges");
-        drop(report);
         let watch = guard.watch().expect("session is live, so the watch is");
         drop(guard); // takes the final end-of-session tick
         watch
-    };
+    });
     let store = watch.store();
     let questions = store.samples("session.questions_asked");
     let bounds = store.samples("session.lower_bound");
@@ -918,6 +905,260 @@ pub fn sweep_cleanliness(ex: &Experiments) -> Table {
     }
     t.note("dirtier data costs more interaction, monotonically");
     t
+}
+
+/// What a [`traced`] run did, as telemetry saw it.
+struct Traced {
+    /// Every record of the run, and only those.
+    collector: Arc<InMemoryCollector>,
+    /// Counters only, each the increase over the run.
+    counters: MetricsSnapshot,
+}
+
+impl Traced {
+    fn span_counts(&self) -> BTreeMap<&'static str, u64> {
+        let mut counts = BTreeMap::new();
+        for span in self.collector.spans() {
+            *counts.entry(span.name).or_insert(0) += 1;
+        }
+        counts
+    }
+}
+
+/// Run `f` with telemetry on, recording into a collector of its own. The
+/// figures binary may already hold the process's session around all
+/// targets (`--telemetry`/`--profile`), and `session()` is not reentrant,
+/// so `f` then nests inside it and its records still reach the outer
+/// sinks. A nested session shares the global counters, which hold every
+/// earlier target's counts, so counters are read as deltas over `f`.
+fn traced<T>(f: impl FnOnce() -> T) -> (T, Traced) {
+    let collector = Arc::new(InMemoryCollector::new());
+    let nested = qoco_telemetry::enabled();
+    let _nested_guard = nested.then(|| qoco_telemetry::nested_session(collector.clone()));
+    let _session_guard = (!nested).then(|| qoco_telemetry::session(collector.clone()));
+    let before = qoco_telemetry::metrics().snapshot();
+    let out = f();
+    let counters = qoco_telemetry::metrics()
+        .snapshot()
+        .counters
+        .into_iter()
+        .map(|(name, after)| {
+            let delta = after - before.counter(&name);
+            (name, delta)
+        })
+        .collect();
+    let counters = MetricsSnapshot {
+        counters,
+        ..MetricsSnapshot::default()
+    };
+    (
+        out,
+        Traced {
+            collector,
+            counters,
+        },
+    )
+}
+
+/// The counters the work table reports, in row order.
+const WORK_COUNTERS: [&str; 8] = [
+    "eval.assignments_tried",
+    "eval.probe_hits",
+    "eval.delta_probe_hits",
+    "eval.index_rebuilds",
+    "deletion.witnesses_enumerated",
+    "insertion.splits_generated",
+    "view.full_refreshes",
+    "crowd.questions_asked",
+];
+
+/// The spans the work table counts. `deletion.lower_bound` is work done
+/// only while telemetry is on, so it is kept apart from the rest.
+const WORK_SPANS: [&str; 7] = [
+    "eval.assignments",
+    "eval.satisfiable",
+    "view.apply_edit",
+    "deletion.remove_answer",
+    "insertion.add_answer",
+    "engine.why_not",
+    "deletion.lower_bound",
+];
+
+/// Work: the exact work of the cleaning sessions behind Figure 3c, the
+/// job set of perfbench's `clean_soccer` workload. Counters and span
+/// counts repeat to the unit from run to run, so unlike wall time they can
+/// be gated exactly: a change that makes the engine or the cleaner do more
+/// for the same answers moves a cell here even when no question count
+/// moves. The last rows give the work per edit of a delete/re-insert
+/// cycle, with the answer set kept by an incremental view and by full
+/// re-evaluation.
+pub fn work_counts(ex: &Experiments) -> Table {
+    let pairs = [
+        (DeletionStrategy::Qoco, SplitStrategyKind::Provenance),
+        (DeletionStrategy::Qoco, SplitStrategyKind::MinCut),
+        (DeletionStrategy::QocoMinus, SplitStrategyKind::Provenance),
+        (DeletionStrategy::Random(3), SplitStrategyKind::Naive),
+    ];
+    let mut t = Table::new(
+        "Work — exact engine and cleaner work of the Figure 3c sessions (perfect oracle)",
+        &[
+            "workload",
+            "work",
+            "qoco+provenance",
+            "qoco+mincut",
+            "qoco-minus+provenance",
+            "random+naive",
+        ],
+    );
+    // Clones share their source's lazily built index cells, and earlier
+    // targets read through `ex.ground`; a private copy keeps
+    // `eval.index_rebuilds` independent of which targets ran first.
+    let ground = unshared_copy(&ex.ground);
+    for (qi, kw, km) in [(1usize, 2usize, 1usize), (2, 3, 2), (3, 5, 3)] {
+        let q = ex.q(qi);
+        let planted = plant_mixed(q, &ground, kw, km, 70 + qi as u64);
+        let runs: Vec<Traced> = pairs
+            .iter()
+            .map(|&(deletion, split)| {
+                let mut d = planted.db.clone();
+                let config = CleaningConfig {
+                    deletion,
+                    split,
+                    ..Default::default()
+                };
+                let ((), run) = traced(|| {
+                    let mut crowd = SingleExpert::new(PerfectOracle::new(ground.clone()));
+                    clean_view(q, &mut d, &mut crowd, config).expect("perfect oracle converges");
+                });
+                run
+            })
+            .collect();
+        for name in WORK_COUNTERS {
+            let mut row = vec![format!("Q{qi}"), name.to_string()];
+            row.extend(runs.iter().map(|r| r.counters.counter(name).to_string()));
+            t.row(row);
+        }
+        let spans: Vec<BTreeMap<&str, u64>> = runs.iter().map(Traced::span_counts).collect();
+        for name in WORK_SPANS {
+            let mut row = vec![format!("Q{qi}"), format!("{name} spans")];
+            row.extend(
+                spans
+                    .iter()
+                    .map(|c| c.get(name).copied().unwrap_or(0).to_string()),
+            );
+            t.row(row);
+        }
+    }
+
+    let (view, full) = edit_cycle_work(CYCLE_TUPLES);
+    for name in [
+        "eval.assignments_tried",
+        "eval.probe_hits",
+        "eval.delta_probe_hits",
+    ] {
+        let per_edit = |run: &Traced| run.counters.counter(name) as f64 / CYCLE_EDITS as f64;
+        t.row(vec![
+            format!("cycle n={CYCLE_TUPLES}"),
+            format!("{name} per edit"),
+            format!("view {:.1}", per_edit(&view)),
+            format!("full re-eval {:.1}", per_edit(&full)),
+            String::new(),
+            String::new(),
+        ]);
+    }
+    t.note("counters are deltas over each strategy pair's session; random uses seed 3");
+    t.note("deletion.lower_bound spans are the exact hitting-set solves run only while telemetry is on, for the deletion.plan record");
+    t.note(format!(
+        "cycle: {CYCLE_EDITS} alternating deletes and re-inserts of answer-bearing facts of the selective database of {CYCLE_TUPLES} tuples a relation, all indexes built beforehand"
+    ));
+    t
+}
+
+/// A copy of `db` that shares no storage with it, built row by row.
+fn unshared_copy(db: &Database) -> Database {
+    let mut out = Database::empty(db.schema().clone());
+    for fact in db.facts() {
+        out.insert(fact).expect("same schema");
+    }
+    out
+}
+
+/// The *selective* database: `B` mirrors `A` with columns flipped, in join
+/// groups of 200. `Q(x) :- A(x, g), B(g, x)` probes `B` on the group
+/// column, so every descend walks a 200-tuple posting list of which
+/// exactly one candidate survives the bound-`x` check.
+fn selective_workload(n: usize) -> (Database, ConjunctiveQuery) {
+    let schema = Schema::builder()
+        .relation("A", &["x", "g"])
+        .relation("B", &["g", "x"])
+        .build()
+        .expect("valid schema");
+    let mut db = Database::empty(schema.clone());
+    let groups = (n / 200).max(1);
+    for i in 0..n {
+        let x = format!("a{i:06}");
+        let g = format!("g{:06}", i % groups);
+        db.insert_named("A", tup![x.clone(), g.clone()])
+            .expect("A fact");
+        db.insert_named("B", tup![g, x]).expect("B fact");
+    }
+    let q = parse_query(&schema, "Q(x) :- A(x, g), B(g, x).").expect("valid query");
+    (db, q)
+}
+
+/// The facts the edit cycle touches: the first `min(n, 64)` `A`-facts of
+/// the selective database. Deleting one removes its answer; re-inserting
+/// restores it, so every edit is relevant to the view — the worst case
+/// for incremental maintenance.
+fn cleaning_cycle_facts(q: &ConjunctiveQuery, n: usize) -> Vec<Fact> {
+    let groups = (n / 200).max(1);
+    let a = q.schema().rel_id("A").expect("selective workload has A");
+    (0..n.min(64))
+        .map(|i| Fact::new(a, tup![format!("a{i:06}"), format!("g{:06}", i % groups)]))
+        .collect()
+}
+
+/// Tuples per relation of the selective database the edit cycle runs on.
+const CYCLE_TUPLES: usize = 1_000;
+
+/// Edits in one delete/re-insert cycle: each cycle fact out and back in.
+const CYCLE_EDITS: usize = 128;
+
+/// Trace the delete/re-insert cycle over the selective database of `n`
+/// tuples twice: with the answer set kept by a [`MaterializedView`]
+/// (one `apply_edit` per edit), and by a full `answer_set` per edit. Both
+/// must end with the answers of a fresh evaluation.
+fn edit_cycle_work(n: usize) -> (Traced, Traced) {
+    let (db0, q) = selective_workload(n);
+    // steady state: no lazy index build lands inside the traced edits
+    db0.ensure_indexes();
+    let edits: Vec<Edit> = cleaning_cycle_facts(&q, n)
+        .into_iter()
+        .flat_map(|f| [Edit::delete(f.clone()), Edit::insert(f)])
+        .collect();
+    assert_eq!(edits.len(), CYCLE_EDITS);
+
+    let mut db = db0.clone();
+    let mut view = MaterializedView::new(q.clone(), &db);
+    let ((), view_run) = traced(|| {
+        for e in &edits {
+            db.apply(e).expect("valid edit");
+            view.apply_edit(&db, e);
+        }
+    });
+    assert_eq!(view.answers(), answer_set(&q, &db), "view diverged");
+
+    let mut db = db0.clone();
+    let (answers, full_run) = traced(|| {
+        let mut answers = Vec::new();
+        for e in &edits {
+            db.apply(e).expect("valid edit");
+            answers = answer_set(&q, &db);
+        }
+        answers
+    });
+    assert_eq!(answers, answer_set(&q, &db0), "full re-evaluation diverged");
+    (view_run, full_run)
 }
 
 #[cfg(test)]

@@ -14,10 +14,7 @@ pub mod decision_check;
 pub mod experiments;
 pub mod flame_check;
 pub mod profile_cmd;
-pub mod regressions;
 pub mod request_check;
-pub mod scaling;
-pub mod seed_eval;
 pub mod session_check;
 pub mod table;
 pub mod trace_check;

@@ -17,8 +17,9 @@ use std::hint::black_box;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use qoco_bench::scaling::dense_workload;
+use qoco_data::{tup, Database, Schema};
 use qoco_engine::{all_assignments, Assignment, EvalOptions};
+use qoco_query::{parse_query, ConjunctiveQuery};
 use qoco_telemetry::InMemoryCollector;
 
 const ROUNDS: usize = 7;
@@ -29,7 +30,29 @@ const NOISE_HEADROOM: f64 = 1.20;
 /// corrupt (the telemetry session lock only serializes sessions).
 static SERIAL: Mutex<()> = Mutex::new(());
 
-fn eval_once(db: &qoco_data::Database, q: &qoco_query::ConjunctiveQuery) -> usize {
+/// The *dense* workload: `n` tuples per relation, `n / 10` join groups of
+/// 10 tuples each, so `Q(x, y) :- A(x, g), B(y, g)` has `10 n` valid
+/// assignments. Output-bound: every candidate survives, so the run is
+/// dominated by the enumeration that spans and counters instrument.
+fn dense_workload(n: usize) -> (Database, ConjunctiveQuery) {
+    let schema = Schema::builder()
+        .relation("A", &["x", "g"])
+        .relation("B", &["y", "g"])
+        .build()
+        .unwrap();
+    let mut db = Database::empty(schema.clone());
+    let groups = (n / 10).max(1);
+    for i in 0..n {
+        db.insert_named("A", tup![format!("a{i:06}"), format!("g{:06}", i % groups)])
+            .unwrap();
+        db.insert_named("B", tup![format!("b{i:06}"), format!("g{:06}", i % groups)])
+            .unwrap();
+    }
+    let q = parse_query(&schema, "Q(x, y) :- A(x, g), B(y, g).").unwrap();
+    (db, q)
+}
+
+fn eval_once(db: &Database, q: &ConjunctiveQuery) -> usize {
     all_assignments(q, db, &Assignment::new(), EvalOptions::default())
         .assignments
         .len()

@@ -130,8 +130,13 @@ pub fn crowd_remove_wrong_answer_with<C: CrowdAccess + ?Sized>(
         // hitting-set solve never runs on the disabled fast path; the
         // bound also accumulates into the session.lower_bound gauge, which
         // qoco-watch samples for the live optimality-ratio panel (ratio
-        // rules divide session.questions_asked by it).
-        let lower_bound = instance.minimum_hitting_set().len();
+        // rules divide session.questions_asked by it). The solve runs only
+        // for the record, so its own span keeps it out of the removal's
+        // self time.
+        let lower_bound = {
+            let _solve = qoco_telemetry::span("deletion.lower_bound");
+            instance.minimum_hitting_set().len()
+        };
         qoco_telemetry::gauge_add("session.lower_bound", lower_bound as f64);
         qoco_telemetry::record_decision("deletion.plan", || DecisionDetail {
             question: format!("remove wrong answer {t} from Q(D)"),

@@ -1,31 +1,33 @@
-//! The pre-optimization evaluation algorithm, preserved verbatim as a
-//! benchmark baseline.
+//! The frozen seed evaluator: the engine's first evaluation algorithm,
+//! kept verbatim as a reference the current engine is checked against.
 //!
-//! This module re-implements the engine's original backtracking join: eager
-//! `HashMap<Value, Vec<Tuple>>` column indexes (built lazily, cached across
-//! evaluations like the old `Relation` did), a full `to_vec()` clone of the
-//! candidate posting list at every descend, and a `candidates.sort()` per
-//! descend to recover determinism. The scaling bench measures the current
-//! zero-copy engine against this to quantify the speedup; nothing outside
-//! `benches/eval.rs` should use it.
+//! It is the original backtracking join: eager `HashMap<Value,
+//! Vec<Tuple>>` column indexes (built lazily, cached across evaluations
+//! like the old `Relation` did), a full `to_vec()` clone of the candidate
+//! posting list at every descend, and a `candidates.sort()` per descend to
+//! recover determinism. It shares no code with the engine's planner,
+//! posting lists or search, so agreement between the two is evidence about
+//! both. The property test below feeds both random two-relation databases
+//! and the selective and dense shapes, and requires identical assignments
+//! and answer sets.
 
 use std::collections::HashMap;
 
-use qoco_data::{Database, RelId, Tuple, Value};
-use qoco_engine::Assignment;
-use qoco_query::{ConjunctiveQuery, Term};
+use qoco_data::{tup, Database, RelId, Schema, Tuple, Value};
+use qoco_engine::{all_assignments, answer_set, Assignment, EvalOptions};
+use qoco_query::{parse_query, ConjunctiveQuery, Term};
 
 /// The old engine's evaluation state: a database plus lazily built
 /// owned-tuple column indexes, cached across calls the way the old
 /// `Relation` cached them across probes.
-pub struct SeedEval<'a> {
+struct SeedEval<'a> {
     db: &'a Database,
     indexes: HashMap<(RelId, usize), HashMap<Value, Vec<Tuple>>>,
 }
 
 impl<'a> SeedEval<'a> {
     /// Wrap `db`; indexes build on first probe of each column.
-    pub fn new(db: &'a Database) -> Self {
+    fn new(db: &'a Database) -> Self {
         SeedEval {
             db,
             indexes: HashMap::new(),
@@ -47,7 +49,7 @@ impl<'a> SeedEval<'a> {
 
     /// All valid assignments of `q`, sorted and deduplicated — the old
     /// `all_assignments` with default options.
-    pub fn all_assignments(&mut self, q: &ConjunctiveQuery) -> Vec<Assignment> {
+    fn all_assignments(&mut self, q: &ConjunctiveQuery) -> Vec<Assignment> {
         let order = plan(q, self.db);
         let mut out = Vec::new();
         self.descend(q, &order, 0, Assignment::new(), &mut out);
@@ -57,7 +59,7 @@ impl<'a> SeedEval<'a> {
     }
 
     /// The answer set `Q(D)`, sorted and deduplicated.
-    pub fn answer_set(&mut self, q: &ConjunctiveQuery) -> Vec<Tuple> {
+    fn answer_set(&mut self, q: &ConjunctiveQuery) -> Vec<Tuple> {
         let mut answers: Vec<Tuple> = self
             .all_assignments(q)
             .iter()
@@ -161,29 +163,109 @@ fn plan(q: &ConjunctiveQuery, db: &Database) -> Vec<usize> {
     order
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use qoco_data::{tup, Schema};
-    use qoco_engine::answer_set;
-    use qoco_query::parse_query;
+/// xorshift64* — deterministic, dependency-free randomness.
+struct Rng(u64);
 
-    #[test]
-    fn seed_baseline_matches_current_engine() {
-        let schema = Schema::builder()
-            .relation("A", &["x", "g"])
-            .relation("B", &["y", "g"])
-            .build()
+impl Rng {
+    fn below(&mut self, n: u64) -> u64 {
+        self.0 ^= self.0 << 13;
+        self.0 ^= self.0 >> 7;
+        self.0 ^= self.0 << 17;
+        self.0 % n
+    }
+}
+
+/// `n` tuples in each of `A(x, g)` and `B(·, ·)` over `groups` join
+/// groups; `B` holds `(g, x)` when `flipped`, `(y, g)` otherwise.
+fn grouped(n: usize, groups: usize, flipped: bool) -> Database {
+    let b_attrs: &[&str] = if flipped { &["g", "x"] } else { &["y", "g"] };
+    let schema = Schema::builder()
+        .relation("A", &["x", "g"])
+        .relation("B", b_attrs)
+        .build()
+        .unwrap();
+    let mut db = Database::empty(schema);
+    for i in 0..n {
+        let g = format!("g{}", i % groups);
+        db.insert_named("A", tup![format!("a{i}"), g.clone()])
             .unwrap();
-        let mut db = Database::empty(schema.clone());
-        for i in 0..40u32 {
-            db.insert_named("A", tup![format!("a{i}"), format!("g{}", i % 5)])
-                .unwrap();
-            db.insert_named("B", tup![format!("b{i}"), format!("g{}", i % 5)])
-                .unwrap();
+        let b = if flipped {
+            tup![g, format!("a{i}")]
+        } else {
+            tup![format!("b{i}"), g]
+        };
+        db.insert_named("B", b).unwrap();
+    }
+    db
+}
+
+/// A random database over `R(a, b)` and `S(b, c)` drawn from a small value
+/// pool, so joins, repeated values and empty results all occur.
+fn random_db(rng: &mut Rng) -> Database {
+    let schema = Schema::builder()
+        .relation("R", &["a", "b"])
+        .relation("S", &["b", "c"])
+        .build()
+        .unwrap();
+    let mut db = Database::empty(schema);
+    let vals = ["a", "b", "c", "d", "e"];
+    for _ in 0..rng.below(30) {
+        let rel = if rng.below(2) == 0 { "R" } else { "S" };
+        let t = tup![vals[rng.below(5) as usize], vals[rng.below(5) as usize]];
+        db.insert_named(rel, t).unwrap();
+    }
+    db
+}
+
+/// Query shapes over `R`/`S` with joins, constants, a repeated relation,
+/// a cross product and inequalities.
+const RANDOM_QUERIES: [&str; 6] = [
+    "Q(x, z) :- R(x, y), S(y, z).",
+    r#"Q(x) :- R(x, y), S(y, "c")."#,
+    "Q(x) :- R(x, y), R(y, x).",
+    "Q(x, z) :- R(x, y), S(y, z), x != z.",
+    "Q(x, w) :- R(x, y), S(z, w).",
+    "Q(y) :- R(x, y), R(z, y), x != z.",
+];
+
+/// The current engine and the seed evaluator agree on `q` over `db`:
+/// identical assignments (both sorted and deduplicated) and answer sets.
+fn assert_agree(db: &Database, q: &ConjunctiveQuery, case: &str) {
+    let mut seed = SeedEval::new(db);
+    assert_eq!(
+        all_assignments(q, db, &Assignment::new(), EvalOptions::default()).assignments,
+        seed.all_assignments(q),
+        "assignments differ on {case}"
+    );
+    assert_eq!(
+        answer_set(q, db),
+        seed.answer_set(q),
+        "answer sets differ on {case}"
+    );
+}
+
+#[test]
+fn the_engine_matches_the_seed_evaluator() {
+    // the fixed case first: 40 tuples a side in 5 dense groups
+    let fixed = grouped(40, 5, false);
+    let q = parse_query(fixed.schema(), "Q(x, y) :- A(x, g), B(y, g).").unwrap();
+    assert_agree(&fixed, &q, "the fixed dense case");
+
+    // the selective shape (one survivor per 200-tuple posting list) and
+    // the dense shape (every candidate survives)
+    let selective = grouped(1_000, 5, true);
+    let q = parse_query(selective.schema(), "Q(x) :- A(x, g), B(g, x).").unwrap();
+    assert_agree(&selective, &q, "the selective shape");
+    let dense = grouped(500, 50, false);
+    let q = parse_query(dense.schema(), "Q(x, y) :- A(x, g), B(y, g).").unwrap();
+    assert_agree(&dense, &q, "the dense shape");
+
+    let mut rng = Rng(0x5eed_e7a1);
+    for case in 0..300 {
+        let db = random_db(&mut rng);
+        for text in RANDOM_QUERIES {
+            let q = parse_query(db.schema(), text).unwrap();
+            assert_agree(&db, &q, &format!("random case {case}, {text}"));
         }
-        let q = parse_query(&schema, "Q(x, y) :- A(x, g), B(y, g).").unwrap();
-        let mut seed = SeedEval::new(&db);
-        assert_eq!(seed.answer_set(&q), answer_set(&q, &db));
     }
 }

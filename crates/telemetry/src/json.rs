@@ -5,9 +5,8 @@
 //! Numbers are written with `Display`, which already produces valid JSON
 //! for the integer types used. The reader has two consumers that share its
 //! one lexer. [`Json::parse`] builds a tree for small documents: the HTTP
-//! API's answer bodies, the committed `BENCH_eval.json` baseline and
-//! exported traces. A streaming decoder, such as the session-spec decoder
-//! in `qoco-core`, walks a large document value by value instead: it
+//! API's answer bodies and exported traces. A streaming decoder, such as
+//! the session-spec decoder in `qoco-core`, walks a large document value by value instead: it
 //! borrows escape-free strings straight from the input and [`Reader::skip`]s
 //! what it does not need. The lexer covers RFC 8259 minus the exotica
 //! nobody writes into those: numbers parse via `f64`, and `\uXXXX` escapes
@@ -528,7 +527,7 @@ mod tests {
     }
 
     #[test]
-    fn round_trips_the_committed_baseline_shape() {
+    fn parses_a_results_document_and_rejects_a_corrupt_number() {
         let doc = r#"{
   "bench": "eval_scaling",
   "results": [

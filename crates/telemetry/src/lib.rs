@@ -25,8 +25,8 @@
 //!
 //! No collector is installed by default. In that state [`span`] returns an
 //! inert guard and every metric call returns after a single relaxed atomic
-//! load — no allocation, no locking, no clock read. `cargo bench` in
-//! `qoco-bench` carries a guard asserting this stays cheap.
+//! load — no allocation, no locking, no clock read. `qoco-bench`'s
+//! `telemetry_noop_guard` test asserts this stays cheap.
 //!
 //! ## Sessions
 //!

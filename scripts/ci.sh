@@ -28,10 +28,11 @@ section "cargo test -q (tier-1)"
 # tier-1 covers the root package (`qoco`) only: its unit tests, tests/*.rs
 # and doc tests. The --workspace step below adds the member crates' own
 # suites: the unit tests of data, query, engine, graph, crowd, core,
-# datasets, telemetry, bench and the shims, plus engine's
-# telemetry_counters and view_property, core's decision_provenance and
-# served_counters, and bench's phases_profile_repro, telemetry_noop_guard
-# and telemetry_overhead_budget.
+# datasets, telemetry, bench and the shims, plus engine's seed_eval
+# (the frozen seed evaluator as a reference), telemetry_counters and
+# view_property, core's decision_provenance and served_counters, and
+# bench's phases_profile_repro, telemetry_noop_guard and
+# telemetry_overhead_budget.
 cargo test -q
 
 section "tests/cli.rs under 16 threads, 10 times (temp-dir isolation)"
@@ -70,8 +71,10 @@ section "unreached modules stay deleted"
 # key/foreign-key repair, the Proposition 3.4 enumeration, Edmonds–Karp
 # and two unused Section 7.2 metrics had no caller and were removed;
 # constraint repair is to be rebuilt on the cleaner's step function, not
-# restored. Word boundaries keep `unconstrained` (engine tests) legal
-if grep -rnwE 'constrained|ConstraintSet|naive_enumeration|FlowNetwork|max_flow|min_st_cut|noise_skewness|result_cleanliness|NoWitness' \
+# restored. The wall-clock eval sweep, its committed baselines and its
+# injected-slowdown gate were superseded by perfbench and the `work`
+# golden. Word boundaries keep `unconstrained` (engine tests) legal
+if grep -rnwE 'constrained|ConstraintSet|naive_enumeration|FlowNetwork|max_flow|min_st_cut|noise_skewness|result_cleanliness|NoWitness|scaling_sweep|inject.slowdown|inject-slowdown|BENCH_eval|BENCH_trajectory' \
   src crates examples tests; then
   echo "deleted unreached-module names are back (listed above)" >&2
   exit 1
@@ -99,23 +102,22 @@ echo "crate map matches the source tree: OK"
 section "cargo test -q --workspace"
 cargo test -q --workspace
 
-section "cargo bench --workspace --no-run"
-cargo bench --workspace --no-run
-
 section "cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
 section "cargo fmt --check"
 cargo fmt --all --check
 
-section "figures: question counts match the committed golden"
+section "figures: question and work counts match the committed golden"
 # Crowd cost is the paper's primary metric, so every figure's count table
 # is a gate: a change that moves any count must update
-# scripts/figures.golden on purpose. The timed phase breakdown (`phases`)
-# and the per-target `[generated in …]` lines measure the host, not the
-# algorithms, and are left out.
+# scripts/figures.golden on purpose. The `work` table gates the engine's
+# and cleaner's exact work counters the same way, so work added for the
+# same answers fails here without a clock. The timed phase breakdown
+# (`phases`) and the per-target `[generated in …]` lines measure the host,
+# not the algorithms, and are left out.
 figure_targets="fig3a fig3b fig3c fig3d fig3e fig3f fig4 dbgroup ablation-hs \
-ablation-umhs ablation-heur ablation-composite sweep-clean sweep-error watch"
+ablation-umhs ablation-heur ablation-composite sweep-clean sweep-error watch work"
 # shellcheck disable=SC2086 # the target list splits into arguments
 cargo run -q --release -p qoco-bench --bin figures -- $figure_targets \
   | grep -v '^  \[generated in' \
@@ -292,16 +294,19 @@ grep -q "clean.session" "$work/a.folded" \
   || { echo "profile: no clean.session stack in $work/a.folded" >&2; exit 1; }
 diff <(cut -d' ' -f1 "$work/a.folded") <(cut -d' ' -f1 "$work/b.folded") \
   || { echo "profile: two runs of one session folded different stacks (diff above)" >&2; exit 1; }
-# folded stacks of one sweep cell must name the eval phases, and the
-# folded → diff pipeline must round-trip
-folded="$work/cell.folded"
+# the session's stacks must name the eval phases, and the folded → diff
+# pipeline must round-trip: a profile agrees with itself, and the two
+# runs' profiles compare. Their frame shares are self time of a ~150 µs
+# session, which moves by up to ~20 points between runs on a loaded host,
+# so agreement between the two runs is not required
+grep -q "eval.assignments" "$work/a.folded" \
+  || { echo "profile: no eval.assignments frame in $work/a.folded" >&2; exit 1; }
 cargo run -q --release -p qoco-bench --bin qoco-bench -- \
-  profile dense/500/current --out "$folded" --budget-ms 300
-grep -q "eval.assignments" "$folded" \
-  || { echo "profile: no eval.assignments frame in $folded" >&2; exit 1; }
-cargo run -q --release -p qoco-bench --bin qoco-bench -- \
-  profile --diff "$folded" "$folded" | grep -q "profiles agree" \
+  profile --diff "$work/a.folded" "$work/a.folded" | grep -q "profiles agree" \
   || { echo "profile --diff: self-diff must agree" >&2; exit 1; }
+cargo run -q --release -p qoco-bench --bin qoco-bench -- \
+  profile --diff "$work/a.folded" "$work/b.folded" | grep -q "^frame share diff" \
+  || { echo "profile --diff: the two runs' profiles did not compare" >&2; exit 1; }
 echo "profiling smoke-run: OK"
 
 section "qoco-watch smoke-run"
@@ -395,28 +400,6 @@ exec 3>&-
 wait "$cli_pid"
 trap 'rm -rf "$work"' EXIT
 echo "live dashboard, alerts and timeseries API: OK"
-
-section "perf regression gate (quick)"
-gate_quick="$work/gate-quick.out"
-cargo run -q --release -p qoco-bench --bin qoco-bench -- regressions --check --quick \
-  | tee "$gate_quick"
-# the quick gate must cover the incremental-cleaning cells, not just eval
-for cell in cleaning_sweep/1000/view cleaning_sweep/1000/fullre; do
-  grep -q "$cell" "$gate_quick" \
-    || { echo "quick gate did not compare $cell" >&2; exit 1; }
-done
-# ...and the gate must actually trip when a cell regresses, with the
-# attribution re-run naming the injected phase as the regressed frame
-gate_out="$work/gate.out"
-if cargo run -q --release -p qoco-bench --bin qoco-bench -- \
-    regressions --check --quick --attribute \
-    --inject-slowdown selective/1000/current=3.0 > "$gate_out" 2>&1; then
-  echo "regression gate failed to flag an injected 3x slowdown" >&2
-  exit 1
-fi
-grep -q "inject.slowdown" "$gate_out" \
-  || { echo "gate attribution did not name inject.slowdown:" >&2; cat "$gate_out" >&2; exit 1; }
-echo "regression gate trips on injected slowdown and names the phase: OK"
 
 section "qoco-serve smoke-run (kill -9 / rehydrate)"
 # the serve-replay correctness gate first: every journal prefix of the
